@@ -1,9 +1,12 @@
 """Dense semidefinite-programming engine and recovery-certification builders.
 
 Problems are small (PSD blocks up to 16x16) and are solved by a first-order
-operator-splitting scheme: alternating projections onto the affine equality
-set (through one cached SVD) and onto the PSD cone (per-block
-eigendecomposition), with over-relaxation and residual-balanced penalty.
+operator-splitting scheme: alternating steps on the affine equalities and
+projections onto the PSD cone (per-block eigendecomposition), with
+over-relaxation and residual-balanced penalty. The SVD A = U S V' of the
+equality matrix is the only factorization: phase 2's affine projection and
+phase 1's regularized least-squares step are both closed forms in its
+factors, so a penalty change costs nothing.
 
 Complex Hermitian d x d variables are vectorized to real vectors of length
 d^2 (diagonal entries, then sqrt(2)-scaled real and imaginary upper
@@ -230,11 +233,9 @@ class _Assembled:
         eig_min = 0.0
         for name, dim in self.block_dims:
             sl = self.slices[name]
-            h = unsvec(x[sl], dim)
-            w, v = np.linalg.eigh((h + h.conj().T) / 2)
-            eig_min = min(eig_min, float(w[0]))
-            w = np.maximum(w, 0.0)
-            out[sl] = svec((v * w) @ v.conj().T)
+            clipped, low = _clip_psd(unsvec(x[sl], dim))
+            eig_min = min(eig_min, low)
+            out[sl] = svec(clipped)
         return out, eig_min
 
     def min_eigenvalue(self, x: np.ndarray) -> float:
@@ -256,20 +257,36 @@ class _Assembled:
 
 
 class _AffineProjector:
-    """Orthogonal projection onto {x : A x = P_range(A) b} through a cached SVD."""
+    """Orthogonal projection onto {x : A x = P_range(A) b} through a cached SVD.
+
+    The same factors A = U S V' give phase 1's regularized least-squares step.
+    """
 
     def __init__(self, A: np.ndarray, b: np.ndarray):
         if A.size:
             u, s, vt = np.linalg.svd(A, full_matrices=False)
-            rank = int((s > s[0] * 1e-12).sum()) if s.size and s[0] > 0 else 0
-            self.vr = vt[:rank].T
-            self.x_ls = self.vr @ ((u[:, :rank].T @ b) / s[:rank])
         else:
-            self.vr = np.zeros((A.shape[1], 0))
-            self.x_ls = np.zeros(A.shape[1])
+            u, s, vt = np.zeros((A.shape[0], 0)), np.zeros(0), np.zeros((0, A.shape[1]))
+        rank = int((s > s[0] * 1e-12).sum()) if s.size and s[0] > 0 else 0
+        self.vr = vt[:rank].T
+        self.s = s[:rank]
+        self.beta = u[:, :rank].T @ b
+        self.x_ls = self.vr @ (self.beta / self.s)
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
         return v - self.vr @ (self.vr.T @ v) + self.x_ls
+
+    def regularized_step(self, w: np.ndarray, sigma: float) -> np.ndarray:
+        """argmin_z 1/2 |A z - b|^2 + sigma/2 |z - w|^2, without forming A'A."""
+        s = self.s
+        return w + self.vr @ ((s * self.beta - s * s * (self.vr.T @ w)) / (s * s + sigma))
+
+
+def _clip_psd(matrix: np.ndarray) -> tuple[np.ndarray, float]:
+    """Nearest PSD matrix to the Hermitian part (negative eigenvalues clipped
+    to zero), and the smallest eigenvalue before clipping."""
+    w, v = np.linalg.eigh((matrix + matrix.conj().T) / 2)
+    return (v * np.maximum(w, 0.0)) @ v.conj().T, float(w[0])
 
 
 def _maxabs(v: np.ndarray) -> float:
@@ -335,30 +352,34 @@ def _downsample(history: list[float], limit: int = 200) -> list[float]:
     return history[::stride]
 
 
+def _rebalance(sigma, u, split_gap, cone_step):
+    """Residual balancing: double or halve the penalty when the primal residual
+    |split_gap| and the dual residual sigma |cone_step| drift 10x apart, and
+    rescale the scaled multiplier ``u`` to match."""
+    prim = float(np.linalg.norm(split_gap))
+    dual = sigma * float(np.linalg.norm(cone_step))
+    if prim > 10.0 * dual and sigma < 1e6:
+        return sigma * 2.0, u / 2.0
+    if dual > 10.0 * prim and sigma > 1e-6:
+        return sigma / 2.0, u * 2.0
+    return sigma, u
+
+
 def _phase1(asm, proj_aff, cfg, history):
     """Cone-constrained least squares on the equality residual (ADMM)."""
     A, b = asm.A, asm.b
-    n = asm.n
     sigma = cfg.penalty
-    gram = A.T @ A
-
-    def factor(sig):
-        return np.linalg.cholesky(gram + sig * np.eye(n))
-
-    chol = factor(sigma)
-    atb = A.T @ b
 
     x, _ = asm.project_cone(proj_aff.x_ls)
     xbar = proj_aff(x)
     if asm.min_eigenvalue(xbar) >= -cfg.eps_psd and _maxabs(A @ xbar - b) <= cfg.eps_feasible:
         return xbar, 0, FEASIBLE
 
-    u = np.zeros(n)
+    u = np.zeros(asm.n)
     best_residual = _maxabs(A @ x - b)
     stall = 0
     for it in range(1, cfg.max_iterations + 1):
-        rhs = atb + sigma * (x - u)
-        z = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
+        z = proj_aff.regularized_step(x - u, sigma)
         z_relaxed = cfg.over_relaxation * z + (1.0 - cfg.over_relaxation) * x
         x_prev = x
         x, _ = asm.project_cone(z_relaxed + u)
@@ -383,16 +404,7 @@ def _phase1(asm, proj_aff, cfg, history):
                 status = INFEASIBLE if best_residual > cfg.eps_infeasible else MAX_ITER
                 return x, it, status
         if it % cfg.rebalance_interval == 0:
-            prim = float(np.linalg.norm(x - z))
-            dual = sigma * float(np.linalg.norm(x - x_prev))
-            if prim > 10.0 * dual and sigma < 1e6:
-                sigma *= 2.0
-                u /= 2.0
-                chol = factor(sigma)
-            elif dual > 10.0 * prim and sigma > 1e-6:
-                sigma /= 2.0
-                u *= 2.0
-                chol = factor(sigma)
+            sigma, u = _rebalance(sigma, u, x - z, x - x_prev)
 
     residual = _maxabs(A @ x - b)
     status = INFEASIBLE if (stall >= cfg.stall_checks and residual > cfg.eps_infeasible) else MAX_ITER
@@ -429,14 +441,7 @@ def _phase2(asm, proj_aff, x_start, cfg, history):
                 ):
                     return xbar, it, OPTIMAL
         if it % cfg.rebalance_interval == 0:
-            prim = float(np.linalg.norm(x - z))
-            dual = sigma * float(np.linalg.norm(z - z_prev))
-            if prim > 10.0 * dual and sigma < 1e6:
-                sigma *= 2.0
-                u /= 2.0
-            elif dual > 10.0 * prim and sigma > 1e-6:
-                sigma /= 2.0
-                u *= 2.0
+            sigma, u = _rebalance(sigma, u, x - z, z - z_prev)
 
     return proj_aff(z), cfg.max_iterations, MAX_ITER
 
@@ -533,6 +538,27 @@ def _target_svec(marginal: DensityOperator, target: DensityOperator, act_on: str
     return svec(tensor_form.reshape(target.dim, target.dim))
 
 
+def _recovery_rows(marginal: DensityOperator, target: DensityOperator, act_on: str):
+    """Constraint data shared by both recovery builders, as (matrix, rhs) pairs.
+
+    Returns ``(choi_dim, tp_rows, fit_rows)``: ``tp_rows`` are the four
+    trace-preservation rows <M_k, J> = r_k of Tr_out J = I, ``fit_rows`` the
+    entrywise reconstruction of the target from the marginal.
+    """
+    ext = check_marginal(marginal, target, act_on)
+    choi_dim = 2 ** (2 + len(ext))
+    eye_out = np.eye(choi_dim // 2)
+    identity_svec = svec(np.eye(2))
+    tp_rows = [
+        (np.kron(unsvec(unit, 2), eye_out), float(identity_svec[k]))
+        for k, unit in enumerate(np.eye(4))
+    ]
+    recon = _reconstruction_matrix(marginal, act_on, len(ext))
+    rhs = _target_svec(marginal, target, act_on, ext)
+    fit_rows = [(unsvec(recon[r], choi_dim), float(rhs[r])) for r in range(recon.shape[0])]
+    return choi_dim, tp_rows, fit_rows
+
+
 def build_cptp_feasibility(
     marginal: DensityOperator, target: DensityOperator, act_on: str = "C"
 ) -> ConicProblem:
@@ -542,25 +568,8 @@ def build_cptp_feasibility(
     reconstruction constraint; zero objective. FEASIBLE means a channel
     exists whose extension of the marginal reproduces the target.
     """
-    ext = check_marginal(marginal, target, act_on)
-    n_ext = len(ext)
-    choi_dim = 2 ** (2 + n_ext)
-    recon = _reconstruction_matrix(marginal, act_on, n_ext)
-    rhs = _target_svec(marginal, target, act_on, ext)
-
-    rows = []
-    eye_out = np.eye(choi_dim // 2)
-    identity_svec = svec(np.eye(2))
-    for k in range(4):
-        unit = np.zeros(4)
-        unit[k] = 1.0
-        basis_2 = unsvec(unit, 2)
-        rows.append(
-            Constraint(blocks={"J": np.kron(basis_2, eye_out)}, scalars={}, rhs=float(identity_svec[k]))
-        )
-    for r in range(recon.shape[0]):
-        rows.append(Constraint(blocks={"J": unsvec(recon[r], choi_dim)}, scalars={}, rhs=float(rhs[r])))
-
+    choi_dim, tp_rows, fit_rows = _recovery_rows(marginal, target, act_on)
+    rows = [Constraint(blocks={"J": m}, scalars={}, rhs=r) for m, r in tp_rows + fit_rows]
     return ConicProblem(psd_blocks=(("J", choi_dim),), equalities=tuple(rows))
 
 
@@ -572,30 +581,13 @@ def build_overhead_problem(
     Two PSD Choi blocks normalized to c1 and c2 times the identity, with the
     difference reconstructing the target.
     """
-    ext = check_marginal(marginal, target, act_on)
-    n_ext = len(ext)
-    choi_dim = 2 ** (2 + n_ext)
-    recon = _reconstruction_matrix(marginal, act_on, n_ext)
-    rhs = _target_svec(marginal, target, act_on, ext)
-
-    rows = []
-    eye_out = np.eye(choi_dim // 2)
-    identity_svec = svec(np.eye(2))
-    for name, scalar in (("J1", "c1"), ("J2", "c2")):
-        for k in range(4):
-            unit = np.zeros(4)
-            unit[k] = 1.0
-            rows.append(
-                Constraint(
-                    blocks={name: np.kron(unsvec(unit, 2), eye_out)},
-                    scalars={scalar: -float(identity_svec[k])},
-                    rhs=0.0,
-                )
-            )
-    for r in range(recon.shape[0]):
-        data = unsvec(recon[r], choi_dim)
-        rows.append(Constraint(blocks={"J1": data, "J2": -data}, scalars={}, rhs=float(rhs[r])))
-
+    choi_dim, tp_rows, fit_rows = _recovery_rows(marginal, target, act_on)
+    rows = [
+        Constraint(blocks={name: m}, scalars={scalar: -r}, rhs=0.0)
+        for name, scalar in (("J1", "c1"), ("J2", "c2"))
+        for m, r in tp_rows
+    ]
+    rows += [Constraint(blocks={"J1": m, "J2": -m}, scalars={}, rhs=r) for m, r in fit_rows]
     return ConicProblem(
         psd_blocks=(("J1", choi_dim), ("J2", choi_dim)),
         free_scalars=("c1", "c2"),
@@ -654,7 +646,7 @@ def sampling_overhead(
     act_on: str = "C",
 ) -> OverheadResult:
     """Minimal quasiprobability cost of recovering ``target`` from ``marginal``."""
-    ext = check_marginal(marginal, target, act_on)
+    ext = _split_labels(marginal, target, act_on)
     problem = build_overhead_problem(marginal, target, act_on)
     solution = solve(problem, config)
     if solution.status not in (OPTIMAL, FEASIBLE):
@@ -688,13 +680,13 @@ def cptp_certify(
     act_on: str = "C",
 ) -> tuple[ConicSolution, ChoiOperator | None, float | None]:
     """Solve the channel-recovery feasibility problem and verify any certificate."""
-    ext = check_marginal(marginal, target, act_on)
+    ext = _split_labels(marginal, target, act_on)
     problem = build_cptp_feasibility(marginal, target, act_on)
     solution = solve(problem, config)
     if solution.status not in (OPTIMAL, FEASIBLE):
         return solution, None, None
     choi = ChoiOperator(
-        matrix=_clip_psd(solution.block_values["J"]),
+        matrix=_clip_psd(solution.block_values["J"])[0],
         input_label=act_on,
         copy_label=act_on + "'",
         extension_labels=ext,
@@ -702,13 +694,6 @@ def cptp_certify(
     )
     residual = markov.verify_recovery(target, marginal, choi, act_on=act_on)
     return solution, choi, residual
-
-
-def _clip_psd(matrix: np.ndarray) -> np.ndarray:
-    """Clip tiny negative eigenvalues so the certificate is PSD exactly."""
-    h = (matrix + matrix.conj().T) / 2
-    w, v = np.linalg.eigh(h)
-    return (v * np.maximum(w, 0.0)) @ v.conj().T
 
 
 @dataclass(frozen=True)

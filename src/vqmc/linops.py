@@ -41,11 +41,14 @@ class SubspaceMismatchError(ValueError):
 
 
 def hermitian_part(matrix: np.ndarray, atol: float = HERMITIAN_ATOL) -> np.ndarray:
-    """Return (H + H')/2, rejecting matrices with asymmetry above ``atol``."""
+    """Return (H + H')/2, rejecting non-finite entries and asymmetry above ``atol``."""
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
     asym = float(np.abs(matrix - matrix.conj().T).max()) if matrix.size else 0.0
+    if not np.isfinite(asym):
+        # any NaN or inf entry makes its own asymmetry NaN or inf
+        raise ValueError("matrix has non-finite entries (NaN or inf)")
     if asym > atol:
         raise NonHermitianError(f"matrix is not Hermitian: max asymmetry {asym:.6e} > {atol:.1e}")
     return (matrix + matrix.conj().T) / 2

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linops
-from .registers import ChoiOperator, DensityOperator, LabelError, QubitRegister
+from .registers import ChoiOperator, DensityOperator, LabelError, QubitRegister, _trace_out_axes
 
 INCLUSION_LEAK_TOL = 1e-8
 BLOCK_MATCH_TOL = 1e-10
@@ -138,16 +138,6 @@ class ConsistencyReport:
             "tol": self.tol,
             "witnesses": [w.to_dict() for w in self.witnesses],
         }
-
-
-def _trace_out_axes(matrix: np.ndarray, n_qubits: int, axes) -> np.ndarray:
-    """Partial trace of a raw (not necessarily Hermitian) 2^n matrix over qubit axes."""
-    tensor_form = matrix.reshape((2,) * (2 * n_qubits))
-    for offset, axis in enumerate(sorted(axes)):
-        half = tensor_form.ndim // 2
-        tensor_form = np.trace(tensor_form, axis1=axis - offset, axis2=axis - offset + half)
-    dim = 2 ** (n_qubits - len(axes))
-    return tensor_form.reshape(dim, dim)
 
 
 def conditional_block(

@@ -23,6 +23,7 @@ import numpy as np
 from . import _json
 from .linops import (
     NotPositiveSemidefiniteError,
+    _readonly,
     hermitian_part,
 )
 
@@ -51,12 +52,6 @@ def projector(vec: np.ndarray) -> np.ndarray:
     """Outer product |v><v|."""
     vec = np.asarray(vec, dtype=complex)
     return np.outer(vec, vec.conj())
-
-
-def _readonly(array: np.ndarray) -> np.ndarray:
-    out = np.array(array, dtype=complex)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)
@@ -221,16 +216,21 @@ def partial_trace(rho: DensityOperator, drop) -> DensityOperator:
     keep = [lab for lab in rho.labels if lab not in drop]
     if not keep:
         raise LabelError("cannot trace out every subsystem")
-    tensor_form = rho.as_tensor()
-    for offset, axis in enumerate(axes):
-        half = tensor_form.ndim // 2
-        tensor_form = np.trace(tensor_form, axis1=axis - offset, axis2=axis - offset + half)
-    dim = 2 ** len(keep)
     return DensityOperator(
         register=QubitRegister(tuple(keep)),
-        matrix=tensor_form.reshape(dim, dim),
+        matrix=_trace_out_axes(rho.matrix, rho.register.n_qubits, axes),
         normalized=rho.normalized,
     )
+
+
+def _trace_out_axes(matrix: np.ndarray, n_qubits: int, axes) -> np.ndarray:
+    """Partial trace of a raw (not necessarily Hermitian) 2^n matrix over qubit axes."""
+    tensor_form = matrix.reshape((2,) * (2 * n_qubits))
+    for offset, axis in enumerate(sorted(axes)):
+        half = tensor_form.ndim // 2
+        tensor_form = np.trace(tensor_form, axis1=axis - offset, axis2=axis - offset + half)
+    dim = 2 ** (n_qubits - len(axes))
+    return tensor_form.reshape(dim, dim)
 
 
 def partial_transpose(rho: DensityOperator, on: str) -> DensityOperator:

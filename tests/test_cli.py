@@ -125,6 +125,16 @@ class TestCertifyCommand:
         assert report["results"]["nu"] == pytest.approx(math.log2(3.0), abs=2e-5)
         assert report["results"]["c1_plus_c2"] == pytest.approx(3.0, abs=1e-5)
 
+    @pytest.mark.parametrize("argv", [("certify", "--mode", "cptp"), ("inclusion",)])
+    def test_non_finite_state_file_rejected(self, capsys, tmp_path, argv):
+        payload = reg.state_to_dict(reg.make_state("W4"))
+        payload["re"][0][0] = float("nan")
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert code == 1 and not out
+        assert "non-finite" in err and "did not converge" not in err
+
     def test_solver_flags_are_echoed(self, capsys):
         code, report = run_json(
             capsys,

@@ -151,6 +151,26 @@ class TestSolveExamples:
         assert np.array_equal(first.block_values["J"], second.block_values["J"])
 
 
+class TestPhaseOneStep:
+    @pytest.mark.parametrize("sigma", [1e-6, 1.0, 1e6])
+    @pytest.mark.parametrize("consistent", [True, False], ids=["consistent", "inconsistent"])
+    def test_svd_step_matches_normal_equations(self, sigma, consistent):
+        # rank 5 < n = 9 < m = 12: A has both a null space and a range defect
+        rng = np.random.default_rng(31)
+        m, n, rank = 12, 9, 5
+        A = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
+        b = A @ rng.standard_normal(n) if consistent else rng.standard_normal(m)
+        w = rng.standard_normal(n)
+        proj = conic._AffineProjector(A, b)
+        assert proj.s.size == rank
+        normal = A.T @ A + sigma * np.eye(n)
+        expected = np.linalg.solve(normal, A.T @ b + sigma * w)
+        step = proj.regularized_step(w, sigma)
+        # the reference solve is only accurate to its condition number times eps
+        tol = 10 * np.finfo(float).eps * np.linalg.cond(normal) * (1.0 + np.abs(expected).max())
+        assert np.abs(step - expected).max() <= tol
+
+
 class TestCptpFeasibility:
     def test_appended_ghz3_is_feasible(self):
         ghz3, target = appended_ghz3()
@@ -185,11 +205,21 @@ class TestCptpFeasibility:
         assert residual <= 1e-6
         assert choi.cp_flag
 
-    def test_marginal_mismatch_rejected(self):
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            conic.build_cptp_feasibility,
+            conic.build_overhead_problem,
+            conic.cptp_certify,
+            conic.sampling_overhead,
+        ],
+        ids=lambda entry: entry.__name__,
+    )
+    def test_marginal_mismatch_rejected(self, entry):
         w4 = reg.make_state("W4")
         wrong = reg.partial_trace(reg.make_state("GHZ4"), "D")
         with pytest.raises(ValueError, match="partial trace"):
-            conic.build_cptp_feasibility(wrong, w4)
+            entry(wrong, w4)
 
     def test_feasible_implies_inclusion(self):
         # metamorphic link: every certified-recoverable instance passes the

@@ -29,6 +29,16 @@ class TestEigh:
         with pytest.raises(linops.NonHermitianError, match="asymmetry"):
             linops.eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("bad, where", [
+        (np.nan, (0, 0)), (np.inf, (0, 0)), (np.nan, (0, 1)), (np.inf, (0, 1)),
+    ])
+    def test_rejects_non_finite(self, bad, where):
+        # NaN comparisons are false, so an asymmetry or trace check alone lets NaN through
+        h = np.eye(2, dtype=complex)
+        h[where] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            linops.eigh(h)
+
     def test_absorbs_tiny_asymmetry(self):
         h = np.eye(2) + np.array([[0.0, 1e-13], [0.0, 0.0]])
         w, _ = linops.eigh(h)

@@ -43,6 +43,11 @@ class TestDensityOperator:
         with pytest.raises(ValueError, match="unit trace"):
             qubit_state("A", np.diag([1.0, 1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            qubit_state("A", np.diag([bad, 0.0]))
+
     def test_unnormalized_blocks_allowed(self):
         op = DensityOperator(
             register=QubitRegister(("A",)), matrix=np.diag([0.25, 0.0]), normalized=False
@@ -200,6 +205,14 @@ class TestMakeChannelChoi:
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown channel"):
             reg.make_channel_choi("NOPE")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("cp_flag", [True, False])
+    def test_rejects_non_finite(self, bad, cp_flag):
+        j = reg.make_channel_choi("APPEND_ZERO").matrix.copy()
+        j[0, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            ChoiOperator(matrix=j, cp_flag=cp_flag)
 
     def test_non_cp_choi_requires_flag(self):
         j = reg.make_channel_choi("APPEND_ZERO").matrix - reg.make_channel_choi(
