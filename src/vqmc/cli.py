@@ -135,11 +135,12 @@ def cmd_certify(args) -> int:
     if state.register.n_qubits != 4:
         raise UsageError(f"certify needs a four-subsystem state, got labels {state.labels}")
     marginal = registers.partial_trace(state, state.labels[-1])
+    act_on = marginal.labels[-1]
     config = _solver_config(args)
     inputs["mode"] = args.mode
 
     if args.mode == "cptp":
-        solution, choi, residual = conic.cptp_certify(marginal, state, config)
+        solution, choi, residual = conic.cptp_certify(marginal, state, config, act_on)
         results = solution.to_dict()
         results["reconstruction_residual"] = residual
         if args.verbose:
@@ -149,7 +150,7 @@ def cmd_certify(args) -> int:
                 results["choi_im"] = choi.matrix.imag.tolist()
         status = solution.status
     else:
-        overhead = conic.sampling_overhead(marginal, state, config)
+        overhead = conic.sampling_overhead(marginal, state, config, act_on)
         results = overhead.to_dict()
         if overhead.solution is not None:
             results["iterations"] = overhead.solution.iterations
@@ -267,15 +268,14 @@ def _demo_nonconvexity(args, config) -> int:
     """
     w4 = registers.make_state("W4")
     rho2 = registers.make_state("RHO2")
-    rows = []
+    rows, leak_vectors = [], []
     for lam, state in ((0.0, rho2), (0.5, registers.mix(w4, rho2, 0.5)), (1.0, w4)):
         marginal = registers.partial_trace(state, "D")
         inclusion = markov.kernel_inclusion_check(marginal)
         solution, _, _ = conic.cptp_certify(marginal, state, config)
         overhead = conic.sampling_overhead(marginal, state, config)
-        leak_vector = None
-        if not inclusion.verdict and args.verbose:
-            leak_vector = _leaking_vector(marginal)
+        leak_vector = None if inclusion.verdict else _leaking_vector(marginal)
+        leak_vectors.append(leak_vector)
         row = {
             "lambda": lam,
             "inclusion": inclusion.verdict,
@@ -284,7 +284,7 @@ def _demo_nonconvexity(args, config) -> int:
             "hptp": overhead.status,
             "nu": overhead.nu,
         }
-        if leak_vector is not None:
+        if leak_vector is not None and args.verbose:
             row["leaking_vector"] = leak_vector
         rows.append(row)
     midpoint = rows[1]
@@ -296,9 +296,7 @@ def _demo_nonconvexity(args, config) -> int:
         ),
     }
     if not midpoint["inclusion"]:
-        results["leaking_vector"] = _leaking_vector(
-            registers.partial_trace(registers.mix(w4, rho2, 0.5), "D")
-        )
+        results["leaking_vector"] = leak_vectors[1]
     _print(_report("demo", {"name": args.name}, results, config.to_dict()), args)
     return EXIT_PASS if midpoint["inclusion"] else EXIT_FAIL
 

@@ -17,6 +17,14 @@ Feasibility is classified by a phase-1 pass that minimizes the equality
 residual over the cone: INFEASIBLE only when the converged minimum
 violation exceeds ``eps_infeasible``, FEASIBLE when a point reaches
 ``eps_feasible``; the dead zone in between surfaces as MAX_ITER.
+
+Channel recovery itself is decided without the SDP: by Petz's theorem a
+channel on C rebuilds the state iff the Petz map does, so
+:func:`cptp_certify` builds the Petz Choi matrix, verifies it by the
+independent Choi application and classifies the residual with the same
+thresholds. :func:`build_cptp_feasibility` with :func:`solve` stays as the
+reference route. :func:`sampling_overhead` runs the same check first and
+returns nu = 0 without an SDP when the Petz map recovers the state.
 """
 
 from __future__ import annotations
@@ -27,8 +35,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import markov
-from .registers import ChoiOperator, DensityOperator, partial_trace
+from . import linops, markov
+from .registers import ChoiOperator, DensityOperator, _trace_out_axes, partial_trace
 
 OPTIMAL = "OPTIMAL"
 FEASIBLE = "FEASIBLE"
@@ -233,9 +241,10 @@ class _Assembled:
         eig_min = 0.0
         for name, dim in self.block_dims:
             sl = self.slices[name]
-            clipped, low = _clip_psd(unsvec(x[sl], dim))
-            eig_min = min(eig_min, low)
-            out[sl] = svec(clipped)
+            block = unsvec(x[sl], dim)
+            w, v = np.linalg.eigh((block + block.conj().T) / 2)
+            eig_min = min(eig_min, float(w[0]))
+            out[sl] = svec((v * np.maximum(w, 0.0)) @ v.conj().T)
         return out, eig_min
 
     def min_eigenvalue(self, x: np.ndarray) -> float:
@@ -280,13 +289,6 @@ class _AffineProjector:
         """argmin_z 1/2 |A z - b|^2 + sigma/2 |z - w|^2, without forming A'A."""
         s = self.s
         return w + self.vr @ ((s * self.beta - s * s * (self.vr.T @ w)) / (s * s + sigma))
-
-
-def _clip_psd(matrix: np.ndarray) -> tuple[np.ndarray, float]:
-    """Nearest PSD matrix to the Hermitian part (negative eigenvalues clipped
-    to zero), and the smallest eigenvalue before clipping."""
-    w, v = np.linalg.eigh((matrix + matrix.conj().T) / 2)
-    return (v * np.maximum(w, 0.0)) @ v.conj().T, float(w[0])
 
 
 def _maxabs(v: np.ndarray) -> float:
@@ -639,14 +641,95 @@ class OverheadResult:
         }
 
 
+def _petz_choi(target: DensityOperator, act_on: str, ext: tuple[str, ...]) -> np.ndarray:
+    """Choi matrix of the Petz recovery map of Tr_ext with reference rho_{C,ext}.
+
+    R(X) = S (K X K (x) I_ext) S with S = rho_{C,ext}^(1/2) and K = rho_C^(-1/2)
+    on the support of rho_C; inputs on its kernel are sent to the maximally
+    mixed output, which keeps R trace preserving.
+    """
+    rest = [lab for lab in target.labels if lab != act_on and lab not in ext]
+    rho_out = partial_trace(target, rest).matrix
+    out_dim = rho_out.shape[0]
+    rho_in = _trace_out_axes(rho_out, 1 + len(ext), range(1, 1 + len(ext)))
+    w, v = linops.eigh(rho_out)
+    sqrt_out = (v * np.sqrt(np.maximum(w, 0.0))) @ v.conj().T
+    w, v = linops.eigh(rho_in)
+    support = w > linops.DEFAULT_REL_TOL * w[-1]
+    inv_sqrt_in = (v[:, support] / np.sqrt(w[support])) @ v[:, support].conj().T
+    kernel = v[:, ~support] @ v[:, ~support].conj().T
+    # R(|c><d|) = M' (|c><d| (x) I_ext) M with M = (K (x) I_ext) S
+    m = (np.kron(inv_sqrt_in, np.eye(out_dim // 2)) @ sqrt_out).reshape(2, out_dim // 2, out_dim)
+    choi = np.einsum("ceo,dep->codp", m.conj(), m).reshape(2 * out_dim, 2 * out_dim)
+    choi = choi + np.kron(kernel.T, np.eye(out_dim) / out_dim)
+    # Tr_out J is I up to rounding that K amplifies when rho_C is nearly
+    # singular; the congruence by its inverse square root restores exact TP
+    w, v = np.linalg.eigh(np.trace(choi.reshape(2, out_dim, 2, out_dim), axis1=1, axis2=3))
+    fix = np.kron((v / np.sqrt(w)) @ v.conj().T, np.eye(out_dim))
+    return fix @ choi @ fix
+
+
+def _petz_check(marginal: DensityOperator, target: DensityOperator, act_on: str,
+                config: SolverConfig | None):
+    """Decide exact channel recovery in closed form (Petz's theorem).
+
+    A channel on ``act_on`` rebuilds ``target`` from ``marginal`` iff the Petz
+    map does, so its reconstruction residual, re-verified by the independent
+    Choi application, decides the question: FEASIBLE up to ``eps_feasible``,
+    INFEASIBLE above ``eps_infeasible``, MAX_ITER (the dead zone) in between.
+    Returns ``(status, petz_choi, residual)``.
+    """
+    cfg = config or SolverConfig()
+    ext = check_marginal(marginal, target, act_on)
+    choi = ChoiOperator(
+        matrix=_petz_choi(target, act_on, ext),
+        input_label=act_on,
+        copy_label=act_on + "'",
+        extension_labels=ext,
+        cp_flag=True,
+    )
+    residual = markov.verify_recovery(target, marginal, choi, act_on=act_on)
+    if residual <= cfg.eps_feasible:
+        return FEASIBLE, choi, residual
+    return (INFEASIBLE if residual > cfg.eps_infeasible else MAX_ITER), choi, residual
+
+
+def _closed_form_solution(status: str, objective: float, blocks: dict, scalars: dict,
+                          residual: float) -> ConicSolution:
+    """A zero-iteration ConicSolution for a verdict reached without an SDP."""
+    eig = min(0.0, *(float(np.linalg.eigvalsh(block)[0]) for block in blocks.values()))
+    return ConicSolution(
+        status=status,
+        objective_value=None if status == INFEASIBLE else objective,
+        block_values=blocks,
+        scalar_values=scalars,
+        primal_residual=residual,
+        min_eigenvalue=eig,
+        iterations=0,
+        debug={"method": "petz"},
+    )
+
+
 def sampling_overhead(
     marginal: DensityOperator,
     target: DensityOperator,
     config: SolverConfig | None = None,
     act_on: str = "C",
 ) -> OverheadResult:
-    """Minimal quasiprobability cost of recovering ``target`` from ``marginal``."""
-    ext = _split_labels(marginal, target, act_on)
+    """Minimal quasiprobability cost of recovering ``target`` from ``marginal``.
+
+    When the Petz map recovers the state the answer is nu = 0 with the Petz
+    channel as certificate, and no SDP is solved: trace preservation forces
+    c1 - c2 = 1 with c2 >= 0, so c1 + c2 >= 1 and the channel attains it.
+    Otherwise the overhead SDP decides.
+    """
+    status, choi, residual = _petz_check(marginal, target, act_on, config)
+    if status == FEASIBLE:
+        blocks = {"J1": choi.matrix, "J2": np.zeros_like(choi.matrix)}
+        solution = _closed_form_solution(OPTIMAL, 1.0, blocks, {"c1": 1.0, "c2": 0.0}, residual)
+        return OverheadResult(status=OPTIMAL, nu=0.0, c1=1.0, c2=0.0, choi_difference=choi,
+                              certificate_residual=residual, solution=solution)
+
     problem = build_overhead_problem(marginal, target, act_on)
     solution = solve(problem, config)
     if solution.status not in (OPTIMAL, FEASIBLE):
@@ -658,7 +741,7 @@ def sampling_overhead(
         matrix=solution.block_values["J1"] - solution.block_values["J2"],
         input_label=act_on,
         copy_label=act_on + "'",
-        extension_labels=ext,
+        extension_labels=choi.extension_labels,
         cp_flag=False,
     )
     residual = markov.verify_recovery(target, marginal, difference, act_on=act_on)
@@ -679,20 +762,16 @@ def cptp_certify(
     config: SolverConfig | None = None,
     act_on: str = "C",
 ) -> tuple[ConicSolution, ChoiOperator | None, float | None]:
-    """Solve the channel-recovery feasibility problem and verify any certificate."""
-    ext = _split_labels(marginal, target, act_on)
-    problem = build_cptp_feasibility(marginal, target, act_on)
-    solution = solve(problem, config)
-    if solution.status not in (OPTIMAL, FEASIBLE):
+    """Decide channel recovery with the Petz map; on FEASIBLE, return its
+    Choi matrix and verified reconstruction residual as the certificate.
+
+    :func:`build_cptp_feasibility` with :func:`solve` is the SDP route to the
+    same verdict.
+    """
+    status, choi, residual = _petz_check(marginal, target, act_on, config)
+    solution = _closed_form_solution(status, 0.0, {"J": choi.matrix}, {}, residual)
+    if status != FEASIBLE:
         return solution, None, None
-    choi = ChoiOperator(
-        matrix=_clip_psd(solution.block_values["J"])[0],
-        input_label=act_on,
-        copy_label=act_on + "'",
-        extension_labels=ext,
-        cp_flag=True,
-    )
-    residual = markov.verify_recovery(target, marginal, choi, act_on=act_on)
     return solution, choi, residual
 
 
@@ -737,7 +816,8 @@ class SweepReport:
 def recoverability_sweep(family, grid, config: SolverConfig | None = None) -> SweepReport:
     """Run inclusion + both certifications across a parameter grid.
 
-    ``family`` maps a grid point to a four-subsystem state. Per-point
+    ``family`` maps a grid point to a four-subsystem state whose last label
+    is the extension, recovered by a map on the label before it. Per-point
     failures are recorded in the row without aborting the sweep.
     """
     rows = []
@@ -745,11 +825,11 @@ def recoverability_sweep(family, grid, config: SolverConfig | None = None) -> Sw
         p = float(p)
         try:
             state = family(p)
-            ext = tuple(lab for lab in state.labels if lab not in ("A", "B", "C"))
-            marginal = partial_trace(state, ext)
+            marginal = partial_trace(state, state.labels[-1])
+            act_on = marginal.labels[-1]
             inclusion = markov.kernel_inclusion_check(marginal)
-            cptp_solution, _, cptp_residual = cptp_certify(marginal, state, config)
-            overhead = sampling_overhead(marginal, state, config)
+            cptp_solution, _, cptp_residual = cptp_certify(marginal, state, config, act_on)
+            overhead = sampling_overhead(marginal, state, config, act_on)
             rows.append(
                 SweepRow(
                     p=p,

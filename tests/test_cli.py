@@ -145,6 +145,27 @@ class TestCertifyCommand:
         assert report["config"]["eps_feasible"] == 1e-8
 
 
+class TestRelabeledStateFile:
+    @pytest.fixture
+    def w4_file(self, tmp_path):
+        w4 = reg.make_state("W4")
+        relabeled = reg.DensityOperator(register=reg.QubitRegister(("W", "X", "Y", "Z")),
+                                        matrix=w4.matrix)
+        path = tmp_path / "w4_wxyz.json"
+        path.write_text(json.dumps(reg.state_to_dict(relabeled)))
+        return str(path)
+
+    def test_hptp_reports_log2_3(self, capsys, w4_file):
+        code, report = run_json(capsys, "certify", w4_file, "--mode", "hptp")
+        assert code == 0
+        assert report["results"]["nu"] == pytest.approx(math.log2(3.0), abs=2e-5)
+
+    def test_cptp_infeasible(self, capsys, w4_file):
+        code, report = run_json(capsys, "certify", w4_file, "--mode", "cptp")
+        assert code == 2
+        assert report["results"]["status"] == "INFEASIBLE"
+
+
 class TestSweepCommand:
     def test_comma_grid(self, capsys):
         code, report = run_json(capsys, "sweep", "--grid", "0.25,1.0")

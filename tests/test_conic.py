@@ -8,7 +8,7 @@ from vqmc import registers as reg
 from vqmc.conic import Constraint, ConicProblem, SolverConfig
 from vqmc.registers import DensityOperator, QubitRegister, ket, projector
 
-from conftest import random_hermitian
+from conftest import random_density, random_hermitian
 
 
 def appended_ghz3():
@@ -356,3 +356,189 @@ class TestSolverSoundness:
             solution = conic.solve(prob)
             assert solution.status in (conic.OPTIMAL, conic.FEASIBLE)
             recheck(prob, solution)
+
+
+# ---------------------------------------------------------------------------
+# Closed-form (Petz) verdicts against the SDP and entropic oracles
+# ---------------------------------------------------------------------------
+
+
+def labeled(labels, matrix):
+    return DensityOperator(register=QubitRegister(tuple(labels)), matrix=matrix)
+
+
+def classical_c_markov(rng):
+    """sum_c p_c rho_AB^c (x) |c><c| (x) sigma_D^c: recoverable by construction."""
+    weights = rng.dirichlet([1.0, 1.0])
+    out = np.zeros((16, 16), dtype=complex)
+    for c in range(2):
+        rho_ab = random_density(rng, 4, rank=int(rng.integers(1, 5)))
+        prepared = np.kron(projector(ket(str(c))), random_density(rng, 2))
+        out += weights[c] * np.kron(rho_ab, prepared)
+    return labeled("ABCD", out)
+
+
+def conditional_mutual_information(target, ext):
+    """I(AB:ext|C) from eigenvalues alone; zero iff a channel on C recovers."""
+    entropy = TestEntropicCrossCheck.entropy
+    ab = [lab for lab in target.labels if lab not in ("C", *ext)]
+    return (
+        entropy(reg.partial_trace(target, ext).matrix)
+        + entropy(reg.partial_trace(target, ab).matrix)
+        - entropy(reg.partial_trace(target, [*ab, *ext]).matrix)
+        - entropy(target.matrix)
+    )
+
+
+def rebuild_by_blocks(marginal, choi_matrix):
+    """sum_{c,d} <c|rho_ABC|d> (x) J_{cd}, with C the marginal's last label;
+    a loop over the Choi blocks, apart from markov.apply_choi."""
+    rest = marginal.dim // 2
+    out_dim = choi_matrix.shape[0] // 2
+    rho = marginal.matrix.reshape(rest, 2, rest, 2)
+    choi = choi_matrix.reshape(2, out_dim, 2, out_dim)
+    return sum(
+        np.kron(rho[:, c, :, d], choi[c, :, d, :]) for c in range(2) for d in range(2)
+    )
+
+
+def petz_cases():
+    ghz3, target = appended_ghz3()
+    cases = {
+        name: (reg.partial_trace(reg.make_state(name), "D"), reg.make_state(name))
+        for name in ("RHO2", "W4", "GHZ4")
+    }
+    mix = reg.make_state("MIX", p=0.5)
+    cases["MIX(0.5)"] = (reg.partial_trace(mix, "D"), mix)
+    cases["appended GHZ3"] = (ghz3, target)
+    rng = np.random.default_rng(4)
+    for k in range(4):
+        state = classical_c_markov(rng)
+        cases[f"markov #{k}"] = (reg.partial_trace(state, "D"), state)
+    for k in range(4):
+        state = labeled("ABCD", random_density(rng, 16))
+        cases[f"generic #{k}"] = (reg.partial_trace(state, "D"), state)
+    # pure C: the Petz map needs the pseudo-inverse and the TP completion
+    pure_c = labeled("ABCD", np.kron(
+        np.kron(random_density(rng, 4), projector(ket("0"))), random_density(rng, 2)
+    ))
+    cases["pure C, product"] = (reg.partial_trace(pure_c, "D"), pure_c)
+    bell_bd = (ket("0000") + ket("0101")) / math.sqrt(2)  # A = C = |0>, B-D Bell pair
+    bell = labeled("ABCD", projector(bell_bd))
+    cases["pure C, B-D Bell pair"] = (reg.partial_trace(bell, "D"), bell)
+    return cases
+
+
+PETZ_CASES = petz_cases()
+PETZ_RECOVERABLE = {"RHO2", "appended GHZ3", "pure C, product"} | {
+    f"markov #{k}" for k in range(4)
+}
+
+
+def assert_valid_recovery(marginal, target, choi):
+    matrix = choi.matrix
+    out_dim = matrix.shape[0] // 2
+    assert choi.cp_flag
+    assert float(np.linalg.eigvalsh(matrix)[0]) >= -1e-12
+    traced = np.trace(matrix.reshape(2, out_dim, 2, out_dim), axis1=1, axis2=3)
+    assert np.abs(traced - np.eye(2)).max() <= 1e-12
+    assert np.abs(rebuild_by_blocks(marginal, matrix) - target.matrix).max() <= 1e-10
+
+
+class TestPetzVerdict:
+    @pytest.mark.parametrize("name", list(PETZ_CASES))
+    def test_agrees_with_sdp_and_entropy(self, name):
+        marginal, target = PETZ_CASES[name]
+        solution, choi, residual = conic.cptp_certify(marginal, target)
+        reference = conic.solve(conic.build_cptp_feasibility(marginal, target))
+        assert solution.status == reference.status
+        cmi = conditional_mutual_information(target, ("D",))
+        recoverable = name in PETZ_RECOVERABLE
+        assert (abs(cmi) <= 1e-10) is recoverable and (cmi > 1e-6) is not recoverable
+        assert solution.status == (conic.FEASIBLE if recoverable else conic.INFEASIBLE)
+        assert solution.iterations == 0 and solution.debug == {"method": "petz"}
+        if recoverable:
+            assert residual == solution.primal_residual <= SolverConfig().eps_feasible
+            assert_valid_recovery(marginal, target, choi)
+        else:
+            assert choi is None and residual is None
+            assert solution.primal_residual > SolverConfig().eps_infeasible
+
+    def test_two_qubit_extension(self):
+        ghz3 = reg.make_state("GHZ3")
+        zeros = labeled("DE", projector(ket("00")))
+        target = reg.tensor(ghz3, zeros)
+        solution, choi, _ = conic.cptp_certify(ghz3, target)
+        assert solution.status == conic.FEASIBLE
+        assert conic.solve(conic.build_cptp_feasibility(ghz3, target)).status == conic.FEASIBLE
+        assert choi.extension_labels == ("D", "E")
+        assert abs(conditional_mutual_information(target, ("D", "E"))) <= 1e-10
+        assert_valid_recovery(ghz3, target, choi)
+
+    def test_nearly_singular_c(self):
+        # rho_C with eigenvalues 1 - 1e-9 and 1e-9 in a rotated basis: K
+        # amplifies rounding by ~3e4, and the certificate must stay exactly TP
+        rng = np.random.default_rng(5)
+        rotation, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+        on_c = np.kron(np.kron(np.eye(4), rotation), np.eye(2))
+        matrix = sum(
+            weight * np.kron(np.kron(random_density(rng, 4), projector(ket(str(c)))),
+                             random_density(rng, 2))
+            for c, weight in ((0, 1.0 - 1e-9), (1, 1e-9))
+        )
+        state = labeled("ABCD", on_c @ matrix @ on_c.conj().T)
+        marginal = reg.partial_trace(state, "D")
+        solution, choi, _ = conic.cptp_certify(marginal, state)
+        assert solution.status == conic.FEASIBLE
+        assert_valid_recovery(marginal, state, choi)
+
+    def test_dead_zone_is_undetermined(self):
+        # a 1e-6 admixture of W4 moves RHO2's Petz residual between
+        # eps_feasible and eps_infeasible, where neither verdict applies
+        near = reg.mix(reg.make_state("W4"), reg.make_state("RHO2"), 1e-6)
+        solution, choi, _ = conic.cptp_certify(reg.partial_trace(near, "D"), near)
+        assert 1e-7 < solution.primal_residual <= 1e-5
+        assert solution.status == conic.MAX_ITER and choi is None
+
+
+class TestClosedFormOverhead:
+    @pytest.mark.parametrize("name", ["RHO2", "appended GHZ3", "markov #0"])
+    def test_recoverable_states_cost_nothing_without_a_solve(self, name):
+        marginal, target = PETZ_CASES[name]
+        result = conic.sampling_overhead(marginal, target)
+        assert result.status == conic.OPTIMAL
+        assert result.solution.iterations == 0
+        assert result.c1 == 1.0 and result.c2 == 0.0 and result.nu == 0.0
+        assert result.certificate_residual <= 1e-12
+        assert result.solution.scalar_values == {"c1": 1.0, "c2": 0.0}
+        assert result.solution.objective_value == 1.0
+        assert_valid_recovery(marginal, target, result.choi_difference)
+
+    def test_w4_still_reaches_the_sdp(self):
+        w4 = reg.make_state("W4")
+        result = conic.sampling_overhead(reg.partial_trace(w4, "D"), w4)
+        assert result.status == conic.OPTIMAL
+        assert result.solution.iterations > 0
+        assert result.c1 == pytest.approx(2.0, abs=1e-5)
+        assert result.c2 == pytest.approx(1.0, abs=1e-5)
+
+    def test_w4_cptp_needs_no_iterations(self):
+        w4 = reg.make_state("W4")
+        solution, choi, residual = conic.cptp_certify(reg.partial_trace(w4, "D"), w4)
+        assert solution.status == conic.INFEASIBLE
+        assert solution.iterations == 0
+        assert solution.objective_value is None
+        assert choi is None and residual is None
+
+
+class TestRelabeledInputs:
+    def test_sweep_matches_mix_under_other_labels(self):
+        grid = [0.0, 0.5, 1.0]
+
+        def relabeled(p):
+            return labeled("WXYZ", reg.make_state("MIX", p=p).matrix)
+
+        mix = conic.recoverability_sweep(lambda p: reg.make_state("MIX", p=p), grid)
+        other = conic.recoverability_sweep(relabeled, grid)
+        assert all(row.error is None for row in other.rows)
+        assert other.to_dict() == mix.to_dict()
