@@ -18,8 +18,6 @@ import argparse
 import sys
 import time
 
-import numpy as np
-
 from . import __version__, _json, conic, markov, registers
 
 BUILTIN_NAMES = ("GHZ4", "W4", "MIX", "RHO2", "GHZ3", "CONVEX_MIX")
@@ -173,12 +171,12 @@ def _parse_grid(text: str) -> list[float]:
         if len(parts) != 3:
             raise UsageError(f"grid must be start:stop:count or a comma list, got {text!r}")
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-        if count < 2:
-            return [start]
-        step = (stop - start) / (count - 1)
+        step = (stop - start) / (count - 1) if count > 1 else 0.0
         grid = [start + k * step for k in range(count)]
     else:
         grid = [float(tok) for tok in text.split(",") if tok.strip()]
+    if not grid:
+        raise UsageError(f"grid has no points: {text!r}")
     if any(not 0.0 <= p <= 1.0 for p in grid):
         raise UsageError(f"grid points must lie in [0, 1], got {grid}")
     return grid
@@ -274,7 +272,7 @@ def _demo_nonconvexity(args, config) -> int:
         inclusion = markov.kernel_inclusion_check(marginal)
         solution, _, _ = conic.cptp_certify(marginal, state, config)
         overhead = conic.sampling_overhead(marginal, state, config)
-        leak_vector = None if inclusion.verdict else _leaking_vector(marginal)
+        leak_vector = _leak_payload(inclusion)
         leak_vectors.append(leak_vector)
         row = {
             "lambda": lam,
@@ -301,28 +299,16 @@ def _demo_nonconvexity(args, config) -> int:
     return EXIT_PASS if midpoint["inclusion"] else EXIT_FAIL
 
 
-def _leaking_vector(marginal) -> dict | None:
-    """First kernel vector of an AC block that leaks out of the BC kernel."""
-    from . import linops
-
-    cond = marginal.labels[-1]
-    first, second = [lab for lab in marginal.labels if lab != cond]
-    for outcome in (0, 1):
-        ac = markov.conditional_block(marginal, cond, outcome, {second})
-        bc = markov.conditional_block(marginal, cond, outcome, {first})
-        ker_ac = linops.kernel_basis(ac.matrix)
-        ker_bc = linops.kernel_basis(bc.matrix)
-        projector = ker_bc.projector()
-        for k in range(ker_ac.dim):
-            vec = ker_ac.vectors[:, k]
-            leak = float(np.linalg.norm(vec - projector @ vec))
-            if leak > 1e-8:
-                return {
-                    "outcome": outcome,
-                    "re": vec.real.tolist(),
-                    "im": vec.imag.tolist(),
-                    "leak": leak,
-                }
+def _leak_payload(inclusion: markov.InclusionReport) -> dict | None:
+    """The report's first AC kernel vector that leaks out of the BC kernel."""
+    for entry in inclusion.per_outcome:
+        if entry.leaking_vector is not None:
+            return {
+                "outcome": entry.outcome,
+                "re": entry.leaking_vector.real.tolist(),
+                "im": entry.leaking_vector.imag.tolist(),
+                "leak": entry.leaking_vector_leak,
+            }
     return None
 
 

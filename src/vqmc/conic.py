@@ -23,8 +23,19 @@ channel on C rebuilds the state iff the Petz map does, so
 :func:`cptp_certify` builds the Petz Choi matrix, verifies it by the
 independent Choi application and classifies the residual with the same
 thresholds. :func:`build_cptp_feasibility` with :func:`solve` stays as the
-reference route. :func:`sampling_overhead` runs the same check first and
-returns nu = 0 without an SDP when the Petz map recovers the state.
+reference route.
+
+Both recovery questions share one real linear system M svec(J) = b (trace
+preservation plus the entrywise reconstruction), built by a single
+contraction against the svec basis. :func:`sampling_overhead` first solves
+it in the least-squares sense with the solver's SVD projector: when the max-abs
+residual exceeds ``eps_infeasible`` no Hermitian-preserving recovery exists,
+and it returns INFEASIBLE (nu = +inf) with 0 iterations, the least-squares
+J as block ``J``, that residual as ``primal_residual`` and
+``debug == {"method": "least_squares"}``. Otherwise it runs the Petz check
+and returns nu = 0 without an SDP when the Petz map recovers the state
+(``debug == {"method": "petz"}``); only the remaining states reach the
+overhead SDP.
 """
 
 from __future__ import annotations
@@ -62,25 +73,36 @@ def _triu(dim: int):
 
 
 def svec(matrix: np.ndarray) -> np.ndarray:
-    """Real vectorization of a Hermitian matrix, inner-product preserving."""
-    dim = matrix.shape[0]
-    iu, ju = _triu(dim)
-    upper = matrix[iu, ju]
+    """Real vectorization of a Hermitian matrix, inner-product preserving.
+
+    A stack of matrices (last two axes) gives the stack of their vectors.
+    """
+    iu, ju = _triu(matrix.shape[-1])
+    upper = matrix[..., iu, ju]
     return np.concatenate(
-        [matrix.diagonal().real, _SQRT2 * upper.real, _SQRT2 * upper.imag]
+        [np.diagonal(matrix, axis1=-2, axis2=-1).real, _SQRT2 * upper.real, _SQRT2 * upper.imag],
+        axis=-1,
     )
 
 
 def unsvec(vector: np.ndarray, dim: int) -> np.ndarray:
-    """Inverse of :func:`svec`."""
+    """Inverse of :func:`svec`, also on a stack of vectors (last axis)."""
     iu, ju = _triu(dim)
     m = iu.size
-    matrix = np.zeros((dim, dim), dtype=complex)
-    matrix[np.arange(dim), np.arange(dim)] = vector[:dim]
-    upper = (vector[dim : dim + m] + 1j * vector[dim + m :]) / _SQRT2
-    matrix[iu, ju] = upper
-    matrix[ju, iu] = upper.conj()
+    matrix = np.zeros(vector.shape[:-1] + (dim, dim), dtype=complex)
+    matrix[..., np.arange(dim), np.arange(dim)] = vector[..., :dim]
+    upper = (vector[..., dim : dim + m] + 1j * vector[..., dim + m :]) / _SQRT2
+    matrix[..., iu, ju] = upper
+    matrix[..., ju, iu] = upper.conj()
     return matrix
+
+
+@lru_cache(maxsize=None)
+def _svec_basis(dim: int) -> np.ndarray:
+    """Read-only stack of the Hermitian basis matrices unsvec(e_k), k < dim**2."""
+    basis = unsvec(np.eye(dim * dim), dim)
+    basis.setflags(write=False)
+    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -502,32 +524,22 @@ def _grouped_marginal(marginal: DensityOperator, act_on: str) -> np.ndarray:
 def _reconstruction_matrix(marginal: DensityOperator, act_on: str, n_ext: int) -> np.ndarray:
     """Real matrix of the map svec(J) -> svec(extended state).
 
-    Implements the Choi application literally: partial transpose on the
-    acted slot, Kronecker lift, one big product, partial trace over the
-    input slot. Kept deliberately separate from the channel-application
-    code used for certificate verification.
+    Implements the Choi application literally: one contraction of the
+    marginal, partially transposed on the acted slot, against the whole
+    stack of svec basis matrices, traced over the input slot. Kept
+    deliberately separate from the channel-application code used for
+    certificate verification.
     """
     rest_dim = marginal.dim // 2
     out_dim = 2 ** (1 + n_ext)
-    choi_dim = 2 * out_dim
     full_dim = rest_dim * out_dim
 
-    grouped = _grouped_marginal(marginal, act_on)
-    gt = grouped.reshape(rest_dim, 2, rest_dim, 2)
-    rho_pt = np.transpose(gt, (0, 3, 2, 1)).reshape(marginal.dim, marginal.dim)
-    lifted = np.kron(rho_pt, np.eye(out_dim))
-    eye_rest = np.eye(rest_dim)
-
-    cols = []
-    for k in range(choi_dim * choi_dim):
-        unit = np.zeros(choi_dim * choi_dim)
-        unit[k] = 1.0
-        basis_element = unsvec(unit, choi_dim)
-        big = lifted @ np.kron(eye_rest, basis_element)
-        big = big.reshape(rest_dim, 2, out_dim, rest_dim, 2, out_dim)
-        traced = np.trace(big, axis1=1, axis2=4)
-        cols.append(svec(traced.reshape(full_dim, full_dim)))
-    return np.stack(cols, axis=1)
+    grouped = _grouped_marginal(marginal, act_on).reshape(rest_dim, 2, rest_dim, 2)
+    rho_pt = np.transpose(grouped, (0, 3, 2, 1))
+    basis = _svec_basis(2 * out_dim).reshape(-1, 2, out_dim, 2, out_dim)
+    # image_k[a o, b p] = sum_{c,d} rho_pt[a c, b d] E_k[d o, c p]
+    images = np.einsum("acbd,kdocp->kaobp", rho_pt, basis, optimize=True)
+    return svec(images.reshape(-1, full_dim, full_dim)).T
 
 
 def _target_svec(marginal: DensityOperator, target: DensityOperator, act_on: str,
@@ -540,25 +552,33 @@ def _target_svec(marginal: DensityOperator, target: DensityOperator, act_on: str
     return svec(tensor_form.reshape(target.dim, target.dim))
 
 
-def _recovery_rows(marginal: DensityOperator, target: DensityOperator, act_on: str):
-    """Constraint data shared by both recovery builders, as (matrix, rhs) pairs.
+def _recovery_operator(marginal: DensityOperator, target: DensityOperator, act_on: str):
+    """The real linear system M svec(J) = b shared by both recovery questions.
 
-    Returns ``(choi_dim, tp_rows, fit_rows)``: ``tp_rows`` are the four
-    trace-preservation rows <M_k, J> = r_k of Tr_out J = I, ``fit_rows`` the
-    entrywise reconstruction of the target from the marginal.
+    The first four rows are trace preservation, Tr_out J = I with
+    b = svec(I_2); the rest are the entrywise reconstruction of the target
+    from the marginal, with b = the target's svec.
     """
     ext = check_marginal(marginal, target, act_on)
-    choi_dim = 2 ** (2 + len(ext))
-    eye_out = np.eye(choi_dim // 2)
-    identity_svec = svec(np.eye(2))
-    tp_rows = [
-        (np.kron(unsvec(unit, 2), eye_out), float(identity_svec[k]))
-        for k, unit in enumerate(np.eye(4))
-    ]
-    recon = _reconstruction_matrix(marginal, act_on, len(ext))
-    rhs = _target_svec(marginal, target, act_on, ext)
-    fit_rows = [(unsvec(recon[r], choi_dim), float(rhs[r])) for r in range(recon.shape[0])]
-    return choi_dim, tp_rows, fit_rows
+    out_dim = 2 ** (1 + len(ext))
+    tp = np.einsum("kcd,op->kcodp", _svec_basis(2), np.eye(out_dim))
+    matrix = np.vstack([
+        svec(tp.reshape(4, 2 * out_dim, 2 * out_dim)),
+        _reconstruction_matrix(marginal, act_on, len(ext)),
+    ])
+    rhs = np.concatenate([svec(np.eye(2)), _target_svec(marginal, target, act_on, ext)])
+    return matrix, rhs
+
+
+def _recovery_rows(marginal: DensityOperator, target: DensityOperator, act_on: str):
+    """The rows of :func:`_recovery_operator` as (Hermitian matrix, rhs) pairs.
+
+    Returns ``(choi_dim, tp_rows, fit_rows)``.
+    """
+    matrix, rhs = _recovery_operator(marginal, target, act_on)
+    choi_dim = math.isqrt(matrix.shape[1])
+    rows = list(zip(unsvec(matrix, choi_dim), rhs.tolist()))
+    return choi_dim, rows[:4], rows[4:]
 
 
 def build_cptp_feasibility(
@@ -694,8 +714,8 @@ def _petz_check(marginal: DensityOperator, target: DensityOperator, act_on: str,
     return (INFEASIBLE if residual > cfg.eps_infeasible else MAX_ITER), choi, residual
 
 
-def _closed_form_solution(status: str, objective: float, blocks: dict, scalars: dict,
-                          residual: float) -> ConicSolution:
+def _closed_form_solution(status: str, objective: float | None, blocks: dict, scalars: dict,
+                          residual: float, method: str) -> ConicSolution:
     """A zero-iteration ConicSolution for a verdict reached without an SDP."""
     eig = min(0.0, *(float(np.linalg.eigvalsh(block)[0]) for block in blocks.values()))
     return ConicSolution(
@@ -706,7 +726,7 @@ def _closed_form_solution(status: str, objective: float, blocks: dict, scalars: 
         primal_residual=residual,
         min_eigenvalue=eig,
         iterations=0,
-        debug={"method": "petz"},
+        debug={"method": method},
     )
 
 
@@ -718,15 +738,30 @@ def sampling_overhead(
 ) -> OverheadResult:
     """Minimal quasiprobability cost of recovering ``target`` from ``marginal``.
 
-    When the Petz map recovers the state the answer is nu = 0 with the Petz
-    channel as certificate, and no SDP is solved: trace preservation forces
+    Two cases need no SDP. When no Hermitian J with Tr_out J = I rebuilds
+    the target, the answer is nu = +inf, read off the least-squares
+    residual r = b - M x_ls of the linear recovery system M x = b: above
+    ``eps_infeasible`` it is a Farkas witness (M'r = 0, b'r = |r|^2 > 0), and
+    any Hermitian solution J = J1 - J2 would split into two PSD blocks with
+    Tr_out J_i = c_i I. When the Petz map recovers the state the answer is
+    nu = 0 with the Petz channel as certificate: trace preservation forces
     c1 - c2 = 1 with c2 >= 0, so c1 + c2 >= 1 and the channel attains it.
     Otherwise the overhead SDP decides.
     """
+    cfg = config or SolverConfig()
+    matrix, rhs = _recovery_operator(marginal, target, act_on)
+    least_squares = _AffineProjector(matrix, rhs)
+    residual = _maxabs(rhs - matrix @ least_squares.x_ls)
+    if residual > cfg.eps_infeasible:
+        blocks = {"J": unsvec(least_squares.x_ls, math.isqrt(matrix.shape[1]))}
+        solution = _closed_form_solution(INFEASIBLE, None, blocks, {}, residual, "least_squares")
+        return OverheadResult(status=INFEASIBLE, nu=math.inf, solution=solution)
+
     status, choi, residual = _petz_check(marginal, target, act_on, config)
     if status == FEASIBLE:
         blocks = {"J1": choi.matrix, "J2": np.zeros_like(choi.matrix)}
-        solution = _closed_form_solution(OPTIMAL, 1.0, blocks, {"c1": 1.0, "c2": 0.0}, residual)
+        solution = _closed_form_solution(OPTIMAL, 1.0, blocks, {"c1": 1.0, "c2": 0.0}, residual,
+                                         "petz")
         return OverheadResult(status=OPTIMAL, nu=0.0, c1=1.0, c2=0.0, choi_difference=choi,
                               certificate_residual=residual, solution=solution)
 
@@ -769,7 +804,7 @@ def cptp_certify(
     same verdict.
     """
     status, choi, residual = _petz_check(marginal, target, act_on, config)
-    solution = _closed_form_solution(status, 0.0, {"J": choi.matrix}, {}, residual)
+    solution = _closed_form_solution(status, 0.0, {"J": choi.matrix}, {}, residual, "petz")
     if status != FEASIBLE:
         return solution, None, None
     return solution, choi, residual

@@ -165,10 +165,14 @@ def subspace_contained(
         )
     if inner.dim == 0:
         return True, 0.0
-    residual = inner.vectors - outer.projector() @ inner.vectors
-    leaks = np.sqrt((np.abs(residual) ** 2).sum(axis=0))
-    max_leak = float(leaks.max())
+    max_leak = float(column_leaks(inner, outer).max())
     return max_leak <= tol, max_leak
+
+
+def column_leaks(inner: SubspaceBasis, outer: SubspaceBasis) -> np.ndarray:
+    """Norm of ``(I - P_outer) a`` for each column ``a`` of ``inner``."""
+    residual = inner.vectors - outer.projector() @ inner.vectors
+    return np.sqrt((np.abs(residual) ** 2).sum(axis=0))
 
 
 def rank_of(matrix: np.ndarray, rel_tol: float = DEFAULT_REL_TOL) -> int:

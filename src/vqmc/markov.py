@@ -13,7 +13,7 @@ the conic module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,11 +49,21 @@ class ConditionalBlock:
 
 @dataclass(frozen=True)
 class OutcomeInclusion:
+    """Kernel inclusion for one outcome.
+
+    When the outcome is not contained, ``leaking_vector`` is the first AC
+    kernel vector whose leak out of the BC kernel exceeds the tolerance, and
+    ``leaking_vector_leak`` is that leak; both are None otherwise and stay
+    out of :meth:`to_dict`.
+    """
+
     outcome: int
     ker_dim_ac: int
     ker_dim_bc: int
     contained: bool
     max_leak: float
+    leaking_vector: np.ndarray | None = field(default=None, compare=False, repr=False)
+    leaking_vector_leak: float | None = field(default=None, compare=False, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -217,6 +227,11 @@ def kernel_inclusion_check(
         ker_ac = linops.kernel_basis(block_ac.matrix, rel_tol=rel_tol)
         ker_bc = linops.kernel_basis(block_bc.matrix, rel_tol=rel_tol)
         contained, leak = linops.subspace_contained(ker_ac, ker_bc, tol=tol)
+        vector = vector_leak = None
+        if not contained:
+            leaks = linops.column_leaks(ker_ac, ker_bc)
+            k = int(np.argmax(leaks > tol))
+            vector, vector_leak = ker_ac.vectors[:, k], float(leaks[k])
         entries.append(
             OutcomeInclusion(
                 outcome=outcome,
@@ -224,6 +239,8 @@ def kernel_inclusion_check(
                 ker_dim_bc=ker_bc.dim,
                 contained=contained,
                 max_leak=leak,
+                leaking_vector=vector,
+                leaking_vector_leak=vector_leak,
             )
         )
     return InclusionReport(per_outcome=tuple(entries), tol=tol)

@@ -1,10 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from vqmc import cli
+from vqmc import cli, markov
 from vqmc import registers as reg
 
 
@@ -183,6 +186,14 @@ class TestSweepCommand:
         code, _, err = run(capsys, "sweep", "--grid", "0:2:3")
         assert code == 1 and "grid" in err
 
+    @pytest.mark.parametrize("grid", ["2:3:1", "0:1:0", "0:1:-3", ","])
+    def test_bad_grids_are_usage_errors(self, capsys, grid):
+        code, out, err = run(capsys, "sweep", "--grid", grid)
+        assert code == 1 and out == "" and err.startswith("error: grid")
+
+    def test_single_point_grid(self):
+        assert cli._parse_grid("0.5:1:1") == [0.5]
+
 
 class TestDemoCommand:
     def test_append_channel(self, capsys):
@@ -233,3 +244,28 @@ class TestReportContract:
         _, out, _ = run(capsys, "certify", "--builtin", "GHZ4", "--mode", "hptp")
         assert '"inf"' in out
         assert "Infinity" not in out
+
+
+class TestImportFloor:
+    def test_cli_import_does_not_load_scipy(self):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        code = "import vqmc.cli, sys; assert 'scipy' not in sys.modules, 'scipy was imported'"
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+class TestLeakPayload:
+    def test_first_leaking_vector_is_reported(self):
+        # Ker(AC|1) holds |1>|1>, which leaks fully out of Ker(BC|1)
+        matrix = 0.5 * reg.projector(reg.ket("000")) + 0.5 * reg.projector(reg.ket("011"))
+        state = reg.DensityOperator(register=reg.QubitRegister(("A", "B", "C")), matrix=matrix)
+        payload = cli._leak_payload(markov.kernel_inclusion_check(state))
+        assert set(payload) == {"outcome", "re", "im", "leak"}
+        assert payload["outcome"] == 1
+        assert payload["leak"] == pytest.approx(1.0, abs=1e-12)
+        vector = np.asarray(payload["re"]) + 1j * np.asarray(payload["im"])
+        assert abs(np.linalg.norm(vector) - 1.0) <= 1e-12
+
+    def test_nothing_to_report_when_contained(self):
+        marginal = reg.partial_trace(reg.make_state("W4"), "D")
+        assert cli._leak_payload(markov.kernel_inclusion_check(marginal)) is None

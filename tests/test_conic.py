@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -542,3 +543,135 @@ class TestRelabeledInputs:
         other = conic.recoverability_sweep(relabeled, grid)
         assert all(row.error is None for row in other.rows)
         assert other.to_dict() == mix.to_dict()
+
+
+# ---------------------------------------------------------------------------
+# Least-squares front end: the linear recovery system and its verdicts
+# ---------------------------------------------------------------------------
+
+
+def choi_stand_in(matrix, act_on, ext):
+    """The attributes markov.apply_choi reads, for a Choi matrix that is not
+    trace preserving (ChoiOperator refuses those, rightly, as channels)."""
+    return SimpleNamespace(matrix=matrix, input_label=act_on, extension_labels=tuple(ext),
+                           output_dim=matrix.shape[0] // 2, is_trace_preserving=False,
+                           cp_flag=False)
+
+
+def recovery_system_by_choi_application(marginal, target, act_on):
+    """M and b rebuilt column by column through markov.apply_choi."""
+    ext = tuple(lab for lab in target.labels if lab not in marginal.labels)
+    choi_dim = 2 ** (2 + len(ext))
+    out_dim = choi_dim // 2
+    columns = []
+    for unit in np.eye(choi_dim * choi_dim):
+        basis = conic.unsvec(unit, choi_dim)
+        traced = np.trace(basis.reshape(2, out_dim, 2, out_dim), axis1=1, axis2=3)
+        image = markov.apply_choi(marginal, choi_stand_in(basis, act_on, ext), act_on)
+        assert image.labels == target.labels
+        columns.append(np.concatenate([conic.svec(traced), conic.svec(image.matrix)]))
+    rhs = np.concatenate([conic.svec(np.eye(2)), conic.svec(target.matrix)])
+    return np.stack(columns, axis=1), rhs
+
+
+def virtual_only_state(rng):
+    """(id_AB (x) R)(sigma) with R(X) = X (x) tau + 0.05 L(X) (x) Z: R is the
+    unique extension, Hermitian preserving but not completely positive."""
+    identity_choi = np.outer(np.eye(2).ravel(), np.eye(2).ravel())
+    while True:
+        sigma = labeled("ABC", random_density(rng, 8))
+        choi_l = random_hermitian(rng, 4)
+        choi_l /= np.abs(np.linalg.eigvalsh(choi_l)).max()
+        choi_r = (np.kron(identity_choi, random_density(rng, 2))
+                  + 0.05 * np.kron(choi_l, np.diag([1.0, -1.0])))
+        image = markov.apply_choi(sigma, choi_stand_in(choi_r, "C", ("D",)), "C").matrix
+        if np.linalg.eigvalsh(image)[0] > 1e-6:
+            return sigma, labeled("ABCD", image)
+
+
+def relabeled_ghz4():
+    state = labeled("WXYZ", reg.make_state("GHZ4").matrix)
+    return reg.partial_trace(state, "Z"), state, "Y"
+
+
+def inconsistent_cases():
+    cases = {}
+    for name, state in [("GHZ4", reg.make_state("GHZ4"))] + [
+        (f"MIX({p})", reg.make_state("MIX", p=p)) for p in (0.0, 0.25, 0.5, 0.75, 0.95)
+    ] + [("CONVEX_MIX(0.5)", reg.mix(reg.make_state("W4"), reg.make_state("RHO2"), 0.5))]:
+        cases[name] = (reg.partial_trace(state, "D"), state, "C")
+    rng = np.random.default_rng(9)
+    for k in range(3):
+        state = labeled("ABCD", random_density(rng, 16, rank=int(rng.integers(1, 17))))
+        cases[f"generic #{k}"] = (reg.partial_trace(state, "D"), state, "C")
+    cases["GHZ4 on (W, X, Y, Z)"] = relabeled_ghz4()
+    return cases
+
+
+INCONSISTENT_CASES = inconsistent_cases()
+
+
+class TestLeastSquaresFrontEnd:
+    @pytest.mark.parametrize("name", ["W4", "GHZ3 + |00> on (D, E)", "GHZ4 on (W, X, Y, Z)"])
+    def test_operator_matches_choi_application(self, name):
+        if name == "W4":
+            target = reg.make_state("W4")
+            marginal, act_on = reg.partial_trace(target, "D"), "C"
+        elif name == "GHZ4 on (W, X, Y, Z)":
+            marginal, target, act_on = relabeled_ghz4()
+        else:
+            marginal, act_on = reg.make_state("GHZ3"), "C"
+            target = reg.tensor(marginal, labeled("DE", projector(ket("00"))))
+        matrix, rhs = conic._recovery_operator(marginal, target, act_on)
+        reference, reference_rhs = recovery_system_by_choi_application(marginal, target, act_on)
+        choi_dim = 4 * target.dim // marginal.dim
+        assert matrix.shape == reference.shape == (4 + target.dim ** 2, choi_dim ** 2)
+        assert np.abs(matrix - reference).max() <= 1e-15
+        assert np.abs(rhs - reference_rhs).max() <= 1e-15
+
+    @pytest.mark.parametrize("name", list(INCONSISTENT_CASES))
+    def test_verdict_matches_the_sdp(self, name):
+        marginal, state, act_on = INCONSISTENT_CASES[name]
+        result = conic.sampling_overhead(marginal, state, act_on=act_on)
+        reference = conic.solve(conic.build_overhead_problem(marginal, state, act_on))
+        assert result.status == reference.status == conic.INFEASIBLE
+
+    @pytest.mark.parametrize("name", list(INCONSISTENT_CASES))
+    def test_infeasible_carries_a_farkas_witness(self, name):
+        marginal, state, act_on = INCONSISTENT_CASES[name]
+        result = conic.sampling_overhead(marginal, state, act_on=act_on)
+        solution = result.solution
+        assert result.status == conic.INFEASIBLE and math.isinf(result.nu)
+        assert result.c1 is None and result.choi_difference is None
+        assert solution.iterations == 0 and solution.objective_value is None
+        assert solution.debug == {"method": "least_squares"}
+        assert solution.primal_residual > SolverConfig().eps_infeasible
+        matrix, rhs = recovery_system_by_choi_application(marginal, state, act_on)
+        witness = rhs - matrix @ conic.svec(solution.block_values["J"])
+        assert np.abs(witness).max() == pytest.approx(solution.primal_residual, rel=1e-9)
+        assert np.abs(matrix.T @ witness).max() <= 1e-12
+        assert rhs @ witness == pytest.approx(witness @ witness, rel=1e-12)
+
+    def test_w4_reaches_the_sdp(self):
+        w4 = reg.make_state("W4")
+        marginal = reg.partial_trace(w4, "D")
+        result = conic.sampling_overhead(marginal, w4)
+        reference = conic.solve(conic.build_overhead_problem(marginal, w4))
+        assert result.solution.iterations == reference.iterations > 0
+        assert result.c1 + result.c2 == reference.objective_value
+        assert result.solution.debug["constraint_count"] == 264
+
+    def test_rho2_reaches_the_petz_check(self):
+        rho2 = reg.make_state("RHO2")
+        result = conic.sampling_overhead(reg.partial_trace(rho2, "D"), rho2)
+        assert result.status == conic.OPTIMAL and result.nu == 0.0
+        assert result.solution.debug == {"method": "petz"}
+
+    def test_virtual_only_state_reaches_the_sdp(self):
+        marginal, state = virtual_only_state(np.random.default_rng(13))
+        result = conic.sampling_overhead(marginal, state)
+        reference = conic.solve(conic.build_overhead_problem(marginal, state))
+        assert result.status == reference.status == conic.OPTIMAL
+        assert result.solution.iterations == reference.iterations > 0
+        assert result.c1 + result.c2 == reference.objective_value > 1.0
+        assert result.certificate_residual <= 1e-6

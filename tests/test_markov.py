@@ -120,6 +120,37 @@ class TestKernelInclusion:
         assert not failing.contained
         assert failing.max_leak == pytest.approx(1.0, abs=1e-10)
 
+    def test_leaking_vector_comes_from_the_ac_kernel(self, rng):
+        # C = 0 branch: A and B each pure in unrelated directions, so kernel
+        # vectors of the AC block leak out of the BC kernel
+        def pure(dim):
+            vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            vec /= np.linalg.norm(vec)
+            return np.outer(vec, vec.conj())
+
+        matrix = 0.5 * np.kron(np.kron(pure(2), pure(2)), projector(ket("0")))
+        matrix += 0.5 * np.kron(pure(4), projector(ket("1")))
+        state = DensityOperator(register=QubitRegister(("A", "B", "C")), matrix=matrix)
+        report = markov.kernel_inclusion_check(state)
+        leaking = [entry for entry in report.per_outcome if not entry.contained]
+        assert leaking
+        for entry in report.per_outcome:
+            ac = markov.conditional_block(state, "C", entry.outcome, {"B"}).matrix
+            bc = markov.conditional_block(state, "C", entry.outcome, {"A"}).matrix
+            if entry.contained:
+                assert entry.leaking_vector is None and entry.leaking_vector_leak is None
+                continue
+            vector = entry.leaking_vector
+            assert abs(np.linalg.norm(vector) - 1.0) <= 1e-12
+            assert np.abs(ac @ vector).max() <= 1e-10
+            # leak out of Ker(BC) = the component on the support of BC
+            w, v = np.linalg.eigh(bc)
+            support = v[:, w > 1e-10 * w[-1]]
+            leak = np.linalg.norm(support.conj().T @ vector)
+            assert entry.leaking_vector_leak == pytest.approx(leak, abs=1e-12)
+            assert entry.leaking_vector_leak > report.tol
+            assert "leaking_vector" not in entry.to_dict()
+
     def test_requires_three_labels(self):
         with pytest.raises(LabelError, match="three"):
             markov.kernel_inclusion_check(reg.make_state("W4"))
