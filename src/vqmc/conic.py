@@ -1,41 +1,45 @@
-"""Dense semidefinite-programming engine and recovery-certification builders.
-
-Problems are small (PSD blocks up to 16x16) and are solved by a first-order
-operator-splitting scheme: alternating steps on the affine equalities and
-projections onto the PSD cone (per-block eigendecomposition), with
-over-relaxation and residual-balanced penalty. The SVD A = U S V' of the
-equality matrix is the only factorization: phase 2's affine projection and
-phase 1's regularized least-squares step are both closed forms in its
-factors, so a penalty change costs nothing.
-
-Complex Hermitian d x d variables are vectorized to real vectors of length
-d^2 (diagonal entries, then sqrt(2)-scaled real and imaginary upper
-triangles), which preserves inner products and keeps all constraint data
-real.
-
-Feasibility is classified by a phase-1 pass that minimizes the equality
-residual over the cone: INFEASIBLE only when the converged minimum
-violation exceeds ``eps_infeasible``, FEASIBLE when a point reaches
-``eps_feasible``; the dead zone in between surfaces as MAX_ITER.
-
-Channel recovery itself is decided without the SDP: by Petz's theorem a
-channel on C rebuilds the state iff the Petz map does, so
-:func:`cptp_certify` builds the Petz Choi matrix, verifies it by the
-independent Choi application and classifies the residual with the same
-thresholds. :func:`build_cptp_feasibility` with :func:`solve` stays as the
-reference route.
+"""Recovery certification for the three questions, and a dense SDP engine.
 
 Both recovery questions share one real linear system M svec(J) = b (trace
 preservation plus the entrywise reconstruction), built by a single
-contraction against the svec basis. :func:`sampling_overhead` first solves
-it in the least-squares sense with the solver's SVD projector: when the max-abs
-residual exceeds ``eps_infeasible`` no Hermitian-preserving recovery exists,
-and it returns INFEASIBLE (nu = +inf) with 0 iterations, the least-squares
-J as block ``J``, that residual as ``primal_residual`` and
+contraction against the svec basis. Complex Hermitian d x d variables are
+vectorized to real vectors of length d^2 (diagonal entries, then
+sqrt(2)-scaled real and imaginary upper triangles), which preserves inner
+products and keeps all constraint data real.
+
+Channel recovery is decided without an SDP: by Petz's theorem a channel on
+C rebuilds the state iff the Petz map does, so :func:`cptp_certify` builds
+the Petz Choi matrix, verifies it by the independent Choi application and
+classifies the residual with the solver thresholds.
+
+:func:`sampling_overhead` first solves the linear system in the
+least-squares sense through one SVD: when the max-abs residual exceeds
+``eps_infeasible`` no Hermitian-preserving recovery exists, and it returns
+INFEASIBLE (nu = +inf) with 0 iterations, the least-squares J as block
+``J``, that residual as ``primal_residual`` and
 ``debug == {"method": "least_squares"}``. Otherwise it runs the Petz check
-and returns nu = 0 without an SDP when the Petz map recovers the state
-(``debug == {"method": "petz"}``); only the remaining states reach the
-overhead SDP.
+and returns nu = 0 when the Petz map recovers the state
+(``debug == {"method": "petz"}``). The remaining states go to
+:func:`_reduced_overhead`: a primal-dual interior-point method (HKM
+direction, Mehrotra predictor-corrector) on the overhead SDP reduced to the
+solutions J = J_ls + N y of the same system (N its null space from the same
+SVD), whose final dual point certifies a lower bound on c1 + c2
+(``debug == {"method": "interior_point", "lower_bound": ..., "gap": ...}``).
+
+The general engine :func:`solve` takes any :class:`ConicProblem` (PSD
+blocks up to 16x16, free scalars, affine equalities) and runs a
+first-order operator-splitting scheme: alternating steps on the affine
+equalities and projections onto the PSD cone (per-block
+eigendecomposition), with over-relaxation and residual-balanced penalty.
+The SVD A = U S V' of the equality matrix is its only factorization: phase
+2's affine projection and phase 1's regularized least-squares step are both
+closed forms in its factors. Feasibility is classified by a phase-1 pass
+that minimizes the equality residual over the cone: INFEASIBLE only when
+the converged minimum violation exceeds ``eps_infeasible``, FEASIBLE when a
+point reaches ``eps_feasible``; the dead zone in between surfaces as
+MAX_ITER. Nothing in the recovery answers calls it: it serves generic
+problems, the reference builders :func:`build_cptp_feasibility` and
+:func:`build_overhead_problem`, and the tests that compare against them.
 """
 
 from __future__ import annotations
@@ -295,11 +299,13 @@ class _AffineProjector:
 
     def __init__(self, A: np.ndarray, b: np.ndarray):
         if A.size:
-            u, s, vt = np.linalg.svd(A, full_matrices=False)
+            # a wide A needs the full V' for its null space
+            u, s, vt = np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1])
         else:
-            u, s, vt = np.zeros((A.shape[0], 0)), np.zeros(0), np.zeros((0, A.shape[1]))
+            u, s, vt = np.zeros((A.shape[0], 0)), np.zeros(0), np.eye(A.shape[1])
         rank = int((s > s[0] * 1e-12).sum()) if s.size and s[0] > 0 else 0
         self.vr = vt[:rank].T
+        self.null_basis = vt[rank:].T
         self.s = s[:rank]
         self.beta = u[:, :rank].T @ b
         self.x_ls = self.vr @ (self.beta / self.s)
@@ -552,6 +558,30 @@ def _target_svec(marginal: DensityOperator, target: DensityOperator, act_on: str
     return svec(tensor_form.reshape(target.dim, target.dim))
 
 
+@lru_cache(maxsize=None)
+def _tp_rows(choi_dim: int) -> np.ndarray:
+    """Read-only 4 x choi_dim**2 matrix of svec(J) -> svec(Tr_out J)."""
+    out_dim = choi_dim // 2
+    tp = np.einsum("kcd,op->kcodp", _svec_basis(2), np.eye(out_dim))
+    rows = svec(tp.reshape(4, choi_dim, choi_dim))
+    rows.setflags(write=False)
+    return rows
+
+
+@lru_cache(maxsize=None)
+def _tp_compatible_basis(choi_dim: int) -> np.ndarray:
+    """Read-only orthonormal svec basis (columns) of {X : Tr_out X = (Tr X / 2) I_2}.
+
+    The complement is spanned by the three traceless trace-preservation
+    rows: Tr_out X is a multiple of I_2 iff its traceless part vanishes.
+    """
+    rows = _tp_rows(choi_dim)
+    traceless = np.vstack([rows[0] - rows[1], rows[2:]])
+    basis = np.linalg.svd(traceless)[2][3:].T.copy()
+    basis.setflags(write=False)
+    return basis
+
+
 def _recovery_operator(marginal: DensityOperator, target: DensityOperator, act_on: str):
     """The real linear system M svec(J) = b shared by both recovery questions.
 
@@ -560,10 +590,8 @@ def _recovery_operator(marginal: DensityOperator, target: DensityOperator, act_o
     from the marginal, with b = the target's svec.
     """
     ext = check_marginal(marginal, target, act_on)
-    out_dim = 2 ** (1 + len(ext))
-    tp = np.einsum("kcd,op->kcodp", _svec_basis(2), np.eye(out_dim))
     matrix = np.vstack([
-        svec(tp.reshape(4, 2 * out_dim, 2 * out_dim)),
+        _tp_rows(2 ** (2 + len(ext))),
         _reconstruction_matrix(marginal, act_on, len(ext)),
     ])
     rhs = np.concatenate([svec(np.eye(2)), _target_svec(marginal, target, act_on, ext)])
@@ -690,17 +718,17 @@ def _petz_choi(target: DensityOperator, act_on: str, ext: tuple[str, ...]) -> np
 
 
 def _petz_check(marginal: DensityOperator, target: DensityOperator, act_on: str,
-                config: SolverConfig | None):
+                ext: tuple[str, ...], config: SolverConfig | None):
     """Decide exact channel recovery in closed form (Petz's theorem).
 
     A channel on ``act_on`` rebuilds ``target`` from ``marginal`` iff the Petz
     map does, so its reconstruction residual, re-verified by the independent
     Choi application, decides the question: FEASIBLE up to ``eps_feasible``,
     INFEASIBLE above ``eps_infeasible``, MAX_ITER (the dead zone) in between.
+    ``ext`` are the extension labels returned by :func:`check_marginal`.
     Returns ``(status, petz_choi, residual)``.
     """
     cfg = config or SolverConfig()
-    ext = check_marginal(marginal, target, act_on)
     choi = ChoiOperator(
         matrix=_petz_choi(target, act_on, ext),
         input_label=act_on,
@@ -714,9 +742,9 @@ def _petz_check(marginal: DensityOperator, target: DensityOperator, act_on: str,
     return (INFEASIBLE if residual > cfg.eps_infeasible else MAX_ITER), choi, residual
 
 
-def _closed_form_solution(status: str, objective: float | None, blocks: dict, scalars: dict,
-                          residual: float, method: str) -> ConicSolution:
-    """A zero-iteration ConicSolution for a verdict reached without an SDP."""
+def _solution(status: str, objective: float | None, blocks: dict, scalars: dict,
+              residual: float, debug: dict, iterations: int = 0) -> ConicSolution:
+    """A ConicSolution for a verdict reached without the general solver."""
     eig = min(0.0, *(float(np.linalg.eigvalsh(block)[0]) for block in blocks.values()))
     return ConicSolution(
         status=status,
@@ -725,9 +753,181 @@ def _closed_form_solution(status: str, objective: float | None, blocks: dict, sc
         scalar_values=scalars,
         primal_residual=residual,
         min_eigenvalue=eig,
-        iterations=0,
-        debug={"method": method},
+        iterations=iterations,
+        debug=debug,
     )
+
+
+# Stop when the complementarity gap is below this fraction of max(1, c1 + c2).
+_GAP_TOL = 1e-10
+# Fraction of the step to the boundary of the cone that a Newton step takes.
+_STEP_FRACTION = 0.98
+# Relative eigenvalue cut-off of the Schur matrix.
+_SCHUR_RCOND = 1e-15
+# Give up (MAX_ITER) when the gap has not halved over this many Newton steps.
+_STALL_STEPS = 5
+
+
+def _hermitian_part(matrix: np.ndarray) -> np.ndarray:
+    return (matrix + np.swapaxes(matrix, -1, -2).conj()) / 2
+
+
+def _inner(a: np.ndarray, b: np.ndarray) -> float:
+    """Trace inner product Re Tr(a' b)."""
+    return float(np.vdot(a, b).real)
+
+
+def _inverse_factor(matrix: np.ndarray) -> np.ndarray:
+    """L^-1 for the Cholesky factor L L' of a positive definite matrix."""
+    return np.linalg.inv(np.linalg.cholesky(matrix))
+
+
+def _step_to_boundary(inverse_factor: np.ndarray, direction: np.ndarray) -> float:
+    """Largest alpha keeping L L' + alpha D PSD, given L^-1."""
+    lowest = float(np.linalg.eigvalsh(inverse_factor @ direction @ inverse_factor.conj().T)[0])
+    return math.inf if lowest >= 0 else -1.0 / lowest
+
+
+def _reduced_overhead(matrix: np.ndarray, rhs: np.ndarray, affine: _AffineProjector,
+                      config: SolverConfig | None = None):
+    """Minimal c1 + c2 over the splits of the recovery system's solutions.
+
+    With N = ``affine.null_basis`` and G the basis of
+    :func:`_tp_compatible_basis`, J = unsvec(x_ls + N y) runs over the
+    solutions of M svec(J) = b and J2 = unsvec(G w) over the Choi matrices
+    with Tr_out J2 = c2 I, c2 = Tr J2 / 2. Then J1 = J + J2 has
+    Tr_out J1 = (1 + c2) I, and the overhead SDP becomes
+
+        minimize 1 + Tr J2  over (w, y)  s.t.  S1 = J2 >= 0,  S2 = J + J2 >= 0,
+
+    with the dual
+
+        maximize 1 - <Z2, J>  s.t.  Z1, Z2 >= 0,  <Z1 + Z2, G_i> = Tr G_i,
+                                    <Z2, N_j> = 0.
+
+    J2 = s I with s = max(0, -lambda_min(J)) + 1 and Z1 = Z2 = I/2 are
+    strictly feasible, so a primal-dual path-following method starts there:
+    HKM direction (Helmberg-Rendl-Vanderbei-Wolkowicz), Mehrotra
+    predictor-corrector, one refinement step on each Newton solve, and
+    ``config.max_iterations`` Newton steps at most. OPTIMAL when the
+    complementarity gap sum_k <Z_k, S_k> is at most ``_GAP_TOL`` max(1, c1 + c2)
+    and J solves the system within ``eps_feasible``; MAX_ITER at the cap,
+    when a cone factorization fails, when the gap has stalled, or when the
+    least-squares residual lies in the dead zone above ``eps_feasible``.
+    The final dual point, repaired to exact feasibility, certifies
+    ``debug["lower_bound"]`` <= every feasible c1 + c2; ``debug["gap"]`` is
+    c1 + c2 minus it.
+
+    Returns ``(solution, J, (Z1, Z2))`` with the repaired dual point.
+    """
+    cfg = config or SolverConfig()
+    dim = math.isqrt(matrix.shape[1])
+    basis = _tp_compatible_basis(dim)
+    null = affine.null_basis
+    identity = np.eye(dim)
+    # svec columns of each cone's coefficient matrices over v = (w, y)
+    columns = (np.hstack([basis, np.zeros_like(null)]), np.hstack([basis, null]))
+    coefficients = [unsvec(col.T, dim) for col in columns]
+    choi_ls = unsvec(affine.x_ls, dim)
+    offsets = (np.zeros_like(choi_ls), choi_ls)
+    cost = np.concatenate([basis.T @ svec(identity), np.zeros(null.shape[1])])
+
+    def lift(v):
+        return [unsvec(col @ v, dim) for col in columns]
+
+    def adjoint(blocks):
+        return sum(col.T @ svec(block) for col, block in zip(columns, blocks))
+
+    start = max(0.0, -float(np.linalg.eigvalsh(choi_ls)[0])) + 1.0
+    v = np.concatenate([basis.T @ svec(start * identity), np.zeros(null.shape[1])])
+    duals = [identity / 2, identity / 2]
+    status, iterations, gaps = MAX_ITER, 0, []
+    while True:
+        slacks = [offset + term for offset, term in zip(offsets, lift(v))]
+        objective = 1.0 + float(cost @ v)
+        gap = sum(_inner(z, s) for z, s in zip(duals, slacks))
+        if gap <= _GAP_TOL * max(1.0, objective):
+            status = OPTIMAL
+            break
+        gaps.append(gap)
+        if iterations >= cfg.max_iterations or (
+            iterations >= _STALL_STEPS and gap > gaps[-1 - _STALL_STEPS] / 2
+        ):
+            break
+        try:
+            inverse_slacks = [_inverse_factor(s) for s in slacks]
+            inverse_duals = [_inverse_factor(z) for z in duals]
+        except np.linalg.LinAlgError:
+            break
+        s_inv = [f.conj().T @ f for f in inverse_slacks]
+        schur = sum(
+            col.T @ svec(_hermitian_part(z @ coef @ si)).T
+            for col, coef, z, si in zip(columns, coefficients, duals, s_inv)
+        )
+        # Near the optimum the Schur matrix is singular up to rounding along
+        # moves within a non-unique optimal face, which cost nothing: solve
+        # on its numerically nonsingular eigenspace only.
+        w, u = np.linalg.eigh((schur + schur.T) / 2)
+        keep = w > _SCHUR_RCOND * w[-1]
+        u, w = u[:, keep], w[keep]
+        residual = cost - adjoint(duals)
+
+        def direction(sigma_mu, corrections):
+            # dZ_k = base_k - herm(Z_k dS_k S_k^-1), with dv chosen so that
+            # <A, dZ> = residual; one refinement step on the Schur solve
+            base = [sigma_mu * si - z - c for si, z, c in zip(s_inv, duals, corrections)]
+
+            def slack_and_dual(dv):
+                ds = lift(dv)
+                return ds, [b - _hermitian_part(z @ d @ si)
+                            for b, z, d, si in zip(base, duals, ds, s_inv)]
+
+            dv = u @ (u.T @ (adjoint(base) - residual) / w)
+            _, dz = slack_and_dual(dv)
+            dv = dv - u @ (u.T @ (residual - adjoint(dz)) / w)
+            return (dv, *slack_and_dual(dv))
+
+        def steps(ds, dz, fraction):
+            alpha_p = min(_step_to_boundary(f, d) for f, d in zip(inverse_slacks, ds))
+            alpha_d = min(_step_to_boundary(f, d) for f, d in zip(inverse_duals, dz))
+            return min(1.0, fraction * alpha_p), min(1.0, fraction * alpha_d)
+
+        mu = gap / (2 * dim)
+        _, ds, dz = direction(0.0, [0.0, 0.0])
+        alpha_p, alpha_d = steps(ds, dz, 1.0)
+        mu_affine = sum(
+            _inner(z + alpha_d * dzk, s + alpha_p * dsk)
+            for z, s, dzk, dsk in zip(duals, slacks, dz, ds)
+        ) / (2 * dim)
+        corrections = [_hermitian_part(dzk @ dsk @ si) for dzk, dsk, si in zip(dz, ds, s_inv)]
+        dv, ds, dz = direction((mu_affine / mu) ** 3 * mu, corrections)
+        alpha_p, alpha_d = steps(ds, dz, _STEP_FRACTION)
+        v = v + alpha_p * dv
+        duals = [_hermitian_part(z + alpha_d * dzk) for z, dzk in zip(duals, dz)]
+        iterations += 1
+
+    n_w = basis.shape[1]
+    choi = choi_ls + unsvec(null @ v[n_w:], dim)
+    # exact stationarity: project Z2 off N, put the remaining residual on Z1,
+    # then shift both blocks into the cone and rescale
+    z2 = duals[1] - unsvec(null @ (null.T @ svec(duals[1])), dim)
+    z1 = duals[0] + unsvec(basis @ (cost[:n_w] - basis.T @ svec(duals[0] + z2)), dim)
+    shifts = [max(0.0, -float(np.linalg.eigvalsh(z)[0])) for z in (z1, z2)]
+    certified = [(z + t * identity) / (1.0 + sum(shifts)) for z, t in zip((z1, z2), shifts)]
+    lower_bound = 1.0 - _inner(certified[1], choi)
+
+    j2, j1 = slacks
+    c2 = float(np.trace(j2).real) / 2
+    residual = _maxabs(matrix @ svec(j1 - j2) - rhs)
+    if residual > cfg.eps_feasible:
+        status = MAX_ITER  # the dead zone: J misses the state by more than eps_feasible
+    solution = _solution(
+        status, 1.0 + 2.0 * c2, {"J1": j1, "J2": j2}, {"c1": 1.0 + c2, "c2": c2}, residual,
+        {"method": "interior_point", "lower_bound": lower_bound,
+         "gap": 1.0 + 2.0 * c2 - lower_bound},
+        iterations,
+    )
+    return solution, choi, certified
 
 
 def sampling_overhead(
@@ -746,7 +946,8 @@ def sampling_overhead(
     Tr_out J_i = c_i I. When the Petz map recovers the state the answer is
     nu = 0 with the Petz channel as certificate: trace preservation forces
     c1 - c2 = 1 with c2 >= 0, so c1 + c2 >= 1 and the channel attains it.
-    Otherwise the overhead SDP decides.
+    Otherwise the interior-point solve of the reduced problem
+    (:func:`_reduced_overhead`) decides, on the same operator and SVD.
     """
     cfg = config or SolverConfig()
     matrix, rhs = _recovery_operator(marginal, target, act_on)
@@ -754,34 +955,34 @@ def sampling_overhead(
     residual = _maxabs(rhs - matrix @ least_squares.x_ls)
     if residual > cfg.eps_infeasible:
         blocks = {"J": unsvec(least_squares.x_ls, math.isqrt(matrix.shape[1]))}
-        solution = _closed_form_solution(INFEASIBLE, None, blocks, {}, residual, "least_squares")
+        solution = _solution(INFEASIBLE, None, blocks, {}, residual, {"method": "least_squares"})
         return OverheadResult(status=INFEASIBLE, nu=math.inf, solution=solution)
 
-    status, choi, residual = _petz_check(marginal, target, act_on, config)
+    ext = _split_labels(marginal, target, act_on)  # validated with the operator
+    status, choi, residual = _petz_check(marginal, target, act_on, ext, cfg)
     if status == FEASIBLE:
         blocks = {"J1": choi.matrix, "J2": np.zeros_like(choi.matrix)}
-        solution = _closed_form_solution(OPTIMAL, 1.0, blocks, {"c1": 1.0, "c2": 0.0}, residual,
-                                         "petz")
+        solution = _solution(OPTIMAL, 1.0, blocks, {"c1": 1.0, "c2": 0.0}, residual,
+                             {"method": "petz"})
         return OverheadResult(status=OPTIMAL, nu=0.0, c1=1.0, c2=0.0, choi_difference=choi,
                               certificate_residual=residual, solution=solution)
 
-    problem = build_overhead_problem(marginal, target, act_on)
-    solution = solve(problem, config)
-    if solution.status not in (OPTIMAL, FEASIBLE):
+    solution, choi_matrix, _ = _reduced_overhead(matrix, rhs, least_squares, cfg)
+    if solution.status != OPTIMAL:
         return OverheadResult(status=solution.status, nu=math.inf, solution=solution)
 
     c1 = solution.scalar_values["c1"]
     c2 = solution.scalar_values["c2"]
     difference = ChoiOperator(
-        matrix=solution.block_values["J1"] - solution.block_values["J2"],
+        matrix=choi_matrix,
         input_label=act_on,
         copy_label=act_on + "'",
-        extension_labels=choi.extension_labels,
+        extension_labels=ext,
         cp_flag=False,
     )
     residual = markov.verify_recovery(target, marginal, difference, act_on=act_on)
     return OverheadResult(
-        status=solution.status,
+        status=OPTIMAL,
         nu=math.log2(c1 + c2),
         c1=c1,
         c2=c2,
@@ -803,8 +1004,9 @@ def cptp_certify(
     :func:`build_cptp_feasibility` with :func:`solve` is the SDP route to the
     same verdict.
     """
-    status, choi, residual = _petz_check(marginal, target, act_on, config)
-    solution = _closed_form_solution(status, 0.0, {"J": choi.matrix}, {}, residual, "petz")
+    ext = check_marginal(marginal, target, act_on)
+    status, choi, residual = _petz_check(marginal, target, act_on, ext, config)
+    solution = _solution(status, 0.0, {"J": choi.matrix}, {}, residual, {"method": "petz"})
     if status != FEASIBLE:
         return solution, None, None
     return solution, choi, residual

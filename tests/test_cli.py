@@ -128,6 +128,15 @@ class TestCertifyCommand:
         assert report["results"]["nu"] == pytest.approx(math.log2(3.0), abs=2e-5)
         assert report["results"]["c1_plus_c2"] == pytest.approx(3.0, abs=1e-5)
 
+    def test_w4_hptp_verbose_shows_the_certified_bound(self, capsys):
+        _, report = run_json(capsys, "certify", "--builtin", "W4", "--mode", "hptp", "--verbose")
+        results = report["results"]
+        debug = results["solver_debug"]
+        assert set(debug) == {"method", "lower_bound", "gap"}
+        assert debug["method"] == "interior_point"
+        assert debug["lower_bound"] <= results["c1_plus_c2"]
+        assert debug["gap"] == pytest.approx(results["c1_plus_c2"] - debug["lower_bound"])
+
     @pytest.mark.parametrize("argv", [("certify", "--mode", "cptp"), ("inclusion",)])
     def test_non_finite_state_file_rejected(self, capsys, tmp_path, argv):
         payload = reg.state_to_dict(reg.make_state("W4"))

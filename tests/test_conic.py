@@ -9,7 +9,7 @@ from vqmc import registers as reg
 from vqmc.conic import Constraint, ConicProblem, SolverConfig
 from vqmc.registers import DensityOperator, QubitRegister, ket, projector
 
-from conftest import random_density, random_hermitian
+from conftest import random_cptp_choi, random_density, random_hermitian
 
 
 def appended_ghz3():
@@ -611,6 +611,19 @@ def inconsistent_cases():
 INCONSISTENT_CASES = inconsistent_cases()
 
 
+def assert_matches_admm(marginal, target, result):
+    """The interior-point overhead against the ADMM solve of the full overhead SDP."""
+    solution = result.solution
+    reference = conic.solve(conic.build_overhead_problem(marginal, target))
+    total = result.c1 + result.c2
+    assert result.status == reference.status == conic.OPTIMAL
+    assert solution.debug["method"] == "interior_point" and solution.iterations > 0
+    assert total == pytest.approx(reference.objective_value, abs=1e-8)
+    lower = solution.debug["lower_bound"]
+    assert lower <= total <= lower + 1e-5 * total
+    assert result.certificate_residual <= 1e-6
+
+
 class TestLeastSquaresFrontEnd:
     @pytest.mark.parametrize("name", ["W4", "GHZ3 + |00> on (D, E)", "GHZ4 on (W, X, Y, Z)"])
     def test_operator_matches_choi_application(self, name):
@@ -655,11 +668,7 @@ class TestLeastSquaresFrontEnd:
     def test_w4_reaches_the_sdp(self):
         w4 = reg.make_state("W4")
         marginal = reg.partial_trace(w4, "D")
-        result = conic.sampling_overhead(marginal, w4)
-        reference = conic.solve(conic.build_overhead_problem(marginal, w4))
-        assert result.solution.iterations == reference.iterations > 0
-        assert result.c1 + result.c2 == reference.objective_value
-        assert result.solution.debug["constraint_count"] == 264
+        assert_matches_admm(marginal, w4, conic.sampling_overhead(marginal, w4))
 
     def test_rho2_reaches_the_petz_check(self):
         rho2 = reg.make_state("RHO2")
@@ -670,8 +679,155 @@ class TestLeastSquaresFrontEnd:
     def test_virtual_only_state_reaches_the_sdp(self):
         marginal, state = virtual_only_state(np.random.default_rng(13))
         result = conic.sampling_overhead(marginal, state)
-        reference = conic.solve(conic.build_overhead_problem(marginal, state))
-        assert result.status == reference.status == conic.OPTIMAL
-        assert result.solution.iterations == reference.iterations > 0
-        assert result.c1 + result.c2 == reference.objective_value > 1.0
-        assert result.certificate_residual <= 1e-6
+        assert_matches_admm(marginal, state, result)
+        assert result.c1 + result.c2 > 1.0
+
+
+# ---------------------------------------------------------------------------
+# Interior-point overhead solve on the reduced problem
+# ---------------------------------------------------------------------------
+
+
+def extension_of(choi_r):
+    """Choi matrix of R o (Tr_D o R)^-1, the unique map C -> C'D that extends
+    the D-marginal of (id (x) R)(sigma) to the state itself."""
+    blocks = choi_r.reshape(2, 4, 2, 4)
+    reduced = np.trace(choi_r.reshape(2, 2, 2, 2, 2, 2), axis1=2, axis2=5)  # [i, c, j, c']
+    inverse = np.linalg.inv(reduced.transpose(1, 3, 0, 2).reshape(4, 4)).reshape(2, 2, 2, 2)
+    return np.einsum("klij,kolp->iojp", inverse, blocks).reshape(8, 8)
+
+
+def hptp_extension_state(rng):
+    """(id_AB (x) R)(sigma) with R = (1+t) N1 - t N2 for random channels and
+    sigma near the maximally mixed state; returns the state and the Choi
+    matrix of the unique extension of its D-marginal."""
+    while True:
+        sigma = labeled("ABC", 0.9 * np.eye(8) / 8 + 0.1 * random_density(rng, 8))
+        t = rng.uniform(0.1, 0.3)
+        choi_r = (1 + t) * random_cptp_choi(rng) - t * random_cptp_choi(rng)
+        image = markov.apply_choi(sigma, choi_stand_in(choi_r, "C", ("D",)), "C").matrix
+        image = (image + image.conj().T) / 2
+        if np.linalg.eigvalsh(image)[0] > 1e-6:
+            return labeled("ABCD", image), extension_of(choi_r)
+
+
+def overhead_bracket(choi):
+    """[1 + Tr J-, 1 + 2 lambda_max(Tr_out J-)]: the trace norm bounds every
+    split from below, and J2 = J- + (c I - Tr_out J-) (x) I/4 is a split."""
+    w, v = np.linalg.eigh(choi)
+    negative = (v * np.maximum(-w, 0.0)) @ v.conj().T
+    traced = np.trace(negative.reshape(2, 4, 2, 4), axis1=1, axis2=3)
+    return 1.0 + np.trace(negative).real, 1.0 + 2.0 * np.linalg.eigvalsh(traced)[-1]
+
+
+def reduced_solve(marginal, target, config=None):
+    matrix, rhs = conic._recovery_operator(marginal, target, "C")
+    affine = conic._AffineProjector(matrix, rhs)
+    return (affine, *conic._reduced_overhead(matrix, rhs, affine, config))
+
+
+def assert_certified_dual(marginal, target, solution, choi, duals):
+    """Check the dual point apart from the solver: both blocks PSD, Z1 + Z2 - I
+    of the form Y (x) I with Tr Y = 0 (so <Z1 + Z2, G> = Tr G on every
+    TP-compatible G), Z2 orthogonal to the null space of the recovery system
+    rebuilt through markov.apply_choi, and the bound equal to 1 - <Z2, J>."""
+    z1, z2 = duals
+    assert min(np.linalg.eigvalsh(z1)[0], np.linalg.eigvalsh(z2)[0]) >= -1e-12
+    excess = (z1 + z2 - np.eye(8)).reshape(2, 4, 2, 4)
+    y = np.trace(excess, axis1=1, axis2=3) / 4
+    assert np.abs(excess - np.einsum("cd,op->codp", y, np.eye(4))).max() <= 1e-10
+    assert abs(np.trace(y)) <= 1e-10
+    matrix, rhs = recovery_system_by_choi_application(marginal, target, "C")
+    assert np.abs(matrix @ conic.svec(choi) - rhs).max() <= 1e-12
+    _, s, vt = np.linalg.svd(matrix)
+    null = vt[int((s > 1e-12 * s[0]).sum()):]
+    assert np.abs(null @ conic.svec(z2)).max(initial=0.0) <= 1e-12
+    lower = solution.debug["lower_bound"]
+    assert lower == pytest.approx(1.0 - np.vdot(z2, choi).real, abs=1e-12)
+    assert lower <= solution.objective_value
+
+
+HPTP_STATES = {seed: hptp_extension_state(np.random.default_rng(seed)) for seed in range(6)}
+
+
+class TestInteriorPointOverhead:
+    @pytest.mark.parametrize("seed", list(HPTP_STATES))
+    def test_hptp_extension_lies_in_its_bracket(self, seed):
+        state, extension = HPTP_STATES[seed]
+        marginal = reg.partial_trace(state, "D")
+        result = conic.sampling_overhead(marginal, state)
+        assert result.status == conic.OPTIMAL
+        assert result.solution.debug["method"] == "interior_point"
+        lower, upper = overhead_bracket(extension)
+        total = result.c1 + result.c2
+        assert lower - 1e-9 <= total <= upper + 1e-9
+        assert result.solution.debug["lower_bound"] <= total
+        assert result.solution.debug["gap"] <= 1e-5 * total
+        assert np.abs(result.choi_difference.matrix - extension).max() <= 1e-8
+        assert result.certificate_residual <= 1e-10
+
+    @pytest.mark.parametrize("name", ["W4", "hptp #0", "markov #0"])
+    def test_dual_point_certifies_the_bound(self, name):
+        if name == "W4":
+            target = reg.make_state("W4")
+        elif name == "hptp #0":
+            target = HPTP_STATES[0][0]
+        else:
+            target = PETZ_CASES["markov #0"][1]
+        marginal = reg.partial_trace(target, "D")
+        _, solution, choi, duals = reduced_solve(marginal, target)
+        assert solution.status == conic.OPTIMAL
+        assert_certified_dual(marginal, target, solution, choi, duals)
+
+    def test_null_space_directions_reach_a_channel(self):
+        # a classical C leaves the coherences between C = 0 and C = 1 of J
+        # free; the solve must still find c1 + c2 = 1, which a channel attains
+        marginal, target = PETZ_CASES["markov #0"]
+        affine, solution, choi, _ = reduced_solve(marginal, target)
+        assert affine.null_basis.shape[1] == 30
+        assert solution.status == conic.OPTIMAL
+        assert solution.objective_value == pytest.approx(1.0, abs=1e-8)
+        assert solution.scalar_values["c2"] == pytest.approx(0.0, abs=1e-8)
+        assert np.abs(rebuild_by_blocks(marginal, choi) - target.matrix).max() <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_virtual_only_states_match_admm(self, seed):
+        marginal, state = virtual_only_state(np.random.default_rng([seed, 3]))
+        assert_matches_admm(marginal, state, conic.sampling_overhead(marginal, state))
+
+    def test_iteration_cap_gives_max_iter(self):
+        w4 = reg.make_state("W4")
+        result = conic.sampling_overhead(reg.partial_trace(w4, "D"), w4,
+                                         SolverConfig(max_iterations=2))
+        assert result.status == conic.MAX_ITER and math.isinf(result.nu)
+        assert result.solution.iterations == 2
+        assert result.c1 is None and result.choi_difference is None
+
+    def test_no_general_solver_on_any_route(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampling_overhead reached the general SDP route")
+
+        monkeypatch.setattr(conic, "solve", refuse)
+        monkeypatch.setattr(conic, "build_overhead_problem", refuse)
+        for target in (reg.make_state("W4"), reg.make_state("GHZ4"), reg.make_state("RHO2"),
+                       HPTP_STATES[1][0]):
+            result = conic.sampling_overhead(reg.partial_trace(target, "D"), target)
+            assert result.status in (conic.OPTIMAL, conic.INFEASIBLE)
+
+    def test_stalled_gap_gives_max_iter(self, monkeypatch):
+        # with no reachable tolerance the solve must stop once the gap stops
+        # shrinking, long before the 50 000-step cap
+        monkeypatch.setattr(conic, "_GAP_TOL", 0.0)
+        w4 = reg.make_state("W4")
+        result = conic.sampling_overhead(reg.partial_trace(w4, "D"), w4)
+        assert result.status == conic.MAX_ITER and math.isinf(result.nu)
+        assert result.solution.iterations < 100
+
+    def test_dead_zone_is_undetermined(self):
+        # a 1e-6 admixture of GHZ4 leaves W4's recovery system inconsistent
+        # by less than eps_infeasible but more than eps_feasible
+        near = reg.mix(reg.make_state("W4"), reg.make_state("GHZ4"), 1.0 - 1e-6)
+        result = conic.sampling_overhead(reg.partial_trace(near, "D"), near)
+        assert 1e-7 < result.solution.primal_residual <= 1e-5
+        assert result.status == conic.MAX_ITER and math.isinf(result.nu)
+        assert result.solution.debug["method"] == "interior_point"
