@@ -13,11 +13,14 @@ the Petz Choi matrix, verifies it by the independent Choi application and
 classifies the residual with the solver thresholds.
 
 :func:`sampling_overhead` first solves the linear system in the
-least-squares sense through one SVD: when the max-abs residual exceeds
-``eps_infeasible`` no Hermitian-preserving recovery exists, and it returns
-INFEASIBLE (nu = +inf) with 0 iterations, the least-squares J as block
-``J``, that residual as ``primal_residual`` and
-``debug == {"method": "least_squares"}``. Otherwise it runs the Petz check
+least-squares sense without forming it (:class:`_RecoverySystem`): the
+system is one rest^2 x 4 matrix R of the marginal repeated on every 2 x 2
+block of J, so one SVD of R gives the min-norm solution, the residual and
+the null space. When the max-abs residual exceeds ``eps_infeasible`` no
+Hermitian-preserving recovery exists, and it returns INFEASIBLE
+(nu = +inf) with 0 iterations, the least-squares J as block ``J``, that
+residual as ``primal_residual`` and ``debug == {"method": "least_squares"}``.
+Otherwise it runs the Petz check, unless the least-squares J rules it out,
 and returns nu = 0 when the Petz map recovers the state
 (``debug == {"method": "petz"}``). The remaining states go to
 :func:`_reduced_overhead`: a primal-dual interior-point method (HKM
@@ -25,6 +28,8 @@ direction, Mehrotra predictor-corrector) on the overhead SDP reduced to the
 solutions J = J_ls + N y of the same system (N its null space from the same
 SVD), whose final dual point certifies a lower bound on c1 + c2
 (``debug == {"method": "interior_point", "lower_bound": ..., "gap": ...}``).
+The dense M of :func:`_recovery_operator` is built only for the reference
+builders and the tests.
 
 The general engine :func:`solve` takes any :class:`ConicProblem` (PSD
 blocks up to 16x16, free scalars, affine equalities) and runs a
@@ -107,6 +112,18 @@ def _svec_basis(dim: int) -> np.ndarray:
     basis = unsvec(np.eye(dim * dim), dim)
     basis.setflags(write=False)
     return basis
+
+
+@lru_cache(maxsize=None)
+def _traceless_basis(dim: int) -> np.ndarray:
+    """Read-only orthonormal stack of dim**2 - 1 traceless Hermitian dim x dim matrices."""
+    basis = unsvec(np.linalg.svd(svec(np.eye(dim))[None])[2][1:], dim)
+    basis.setflags(write=False)
+    return basis
+
+
+def _hermitian_part(matrix: np.ndarray) -> np.ndarray:
+    return (matrix + np.swapaxes(matrix, -1, -2).conj()) / 2
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +231,8 @@ class SolverConfig:
             raise ValueError("tolerances must be positive")
         if self.eps_feasible >= self.eps_infeasible:
             raise ValueError("eps_feasible must be smaller than eps_infeasible")
+        if self.max_iterations < 1:
+            raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
 
     def to_dict(self) -> dict:
         return {
@@ -299,13 +318,11 @@ class _AffineProjector:
 
     def __init__(self, A: np.ndarray, b: np.ndarray):
         if A.size:
-            # a wide A needs the full V' for its null space
-            u, s, vt = np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1])
+            u, s, vt = np.linalg.svd(A, full_matrices=False)
         else:
             u, s, vt = np.zeros((A.shape[0], 0)), np.zeros(0), np.eye(A.shape[1])
         rank = int((s > s[0] * 1e-12).sum()) if s.size and s[0] > 0 else 0
         self.vr = vt[:rank].T
-        self.null_basis = vt[rank:].T
         self.s = s[:rank]
         self.beta = u[:, :rank].T @ b
         self.x_ls = self.vr @ (self.beta / self.s)
@@ -548,14 +565,14 @@ def _reconstruction_matrix(marginal: DensityOperator, act_on: str, n_ext: int) -
     return svec(images.reshape(-1, full_dim, full_dim)).T
 
 
-def _target_svec(marginal: DensityOperator, target: DensityOperator, act_on: str,
-                 ext: tuple[str, ...]) -> np.ndarray:
-    """svec of the target, permuted into the builder's output ordering."""
+def _ordered_target(marginal: DensityOperator, target: DensityOperator, act_on: str,
+                    ext: tuple[str, ...]) -> np.ndarray:
+    """The target, permuted into the builder's output ordering."""
     produced = [lab for lab in marginal.labels if lab != act_on] + [act_on, *ext]
     perm = [target.labels.index(lab) for lab in produced]
     n = len(produced)
     tensor_form = np.transpose(target.as_tensor(), perm + [n + q for q in perm])
-    return svec(tensor_form.reshape(target.dim, target.dim))
+    return tensor_form.reshape(target.dim, target.dim)
 
 
 @lru_cache(maxsize=None)
@@ -594,8 +611,89 @@ def _recovery_operator(marginal: DensityOperator, target: DensityOperator, act_o
         _tp_rows(2 ** (2 + len(ext))),
         _reconstruction_matrix(marginal, act_on, len(ext)),
     ])
-    rhs = np.concatenate([svec(np.eye(2)), _target_svec(marginal, target, act_on, ext)])
+    rhs = np.concatenate([svec(np.eye(2)), svec(_ordered_target(marginal, target, act_on, ext))])
     return matrix, rhs
+
+
+class _RecoverySystem:
+    """The system of :func:`_recovery_operator`, solved block by block.
+
+    Write J in 2 x 2 blocks J_op[d, c] = J[(d, o), (c, p)] over the outputs
+    o, p < n. The fit rows say R(J_op) = T_op, the (o, p) block of the target,
+    with R(X)[a, b] = sum_{c,d} rho[(a, d), (b, c)] X[d, c] on the grouped
+    marginal; the trace-preservation rows say sum_o J_oo = I. On the svec
+    bases R is one real rest^2 x 4 matrix acting alike on the real and
+    imaginary parts of a block's complex coordinates, so the off-diagonal
+    blocks are independent least-squares problems in R. An orthogonal
+    transform over o whose first row is 1/sqrt(n) separates the diagonal
+    blocks: their deviations from the mean solve against R, the mean
+    w against [R; sqrt(n) I], i.e. (R'R + n I) w = R' mean + svec(I). The
+    singular values of M are thus those of R, each n^2 - 1 times, and
+    sqrt(s^2 + n) of the mean, so ranks are cut at 1e-12 times the largest of
+    these, as the dense SVD of M cuts them, and the null space of M is
+    {N (x) H : R(N) = 0, H traceless Hermitian}.
+
+    Exposes the min-norm least-squares solution ``x_ls`` (``choi_ls`` as a
+    matrix), an orthonormal svec basis ``null_basis`` (columns) of the null
+    space, of dimension (n^2 - 1) dim null(R), and :meth:`residual`.
+    """
+
+    def __init__(self, marginal: DensityOperator, target: DensityOperator, act_on: str):
+        self.ext = check_marginal(marginal, target, act_on)
+        n = 2 ** (1 + len(self.ext))
+        rest = marginal.dim // 2
+        self._rho = _grouped_marginal(marginal, act_on).reshape(rest, 2, rest, 2)
+        self._target = _ordered_target(marginal, target, act_on, self.ext)
+        fit = svec(np.einsum("adbc,kdc->kab", self._rho, _svec_basis(2))).T
+        u, s, vt = np.linalg.svd(fit, full_matrices=fit.shape[0] < 4)
+        rank = int((s > 1e-12 * math.sqrt(s[0] ** 2 + n)).sum())
+        self.singular_values = s
+        null = np.einsum("kdc,mop->kmdocp", unsvec(vt[rank:], 2), _traceless_basis(n))
+        self.null_basis = svec(null.reshape(-1, 2 * n, 2 * n)).T
+
+        # complex svec coordinates of the target's blocks: svec(H1) + i svec(H2)
+        # for T_op = H1 + i H2 with H1, H2 Hermitian
+        target_blocks = self._target.reshape(rest, n, rest, n).transpose(1, 3, 0, 2)
+        coordinates = (svec(_hermitian_part(target_blocks))
+                       + 1j * svec(_hermitian_part(-1j * target_blocks)))
+        pinv = vt[:rank].T @ (u[:, :rank] / s[:rank]).T
+        blocks = coordinates @ pinv.T
+        diagonal = coordinates[range(n), range(n)].real
+        mean = diagonal.mean(axis=0)
+        mean_block = np.linalg.solve(fit.T @ fit + n * np.eye(4), fit.T @ mean + svec(np.eye(2)))
+        blocks[range(n), range(n)] = (diagonal - mean) @ pinv.T + mean_block
+        choi = unsvec(blocks.real, 2) + 1j * unsvec(blocks.imag, 2)
+        self.choi_ls = _hermitian_part(choi.transpose(2, 0, 3, 1).reshape(2 * n, 2 * n))
+        self.x_ls = svec(self.choi_ls)
+
+    def gap(self, choi: np.ndarray) -> np.ndarray:
+        """b - M svec(J) for the Choi matrix J, applied block by block."""
+        n = choi.shape[0] // 2
+        blocks = choi.reshape(2, n, 2, n)
+        image = np.einsum("adbc,docp->aobp", self._rho, blocks).reshape(self._target.shape)
+        return np.concatenate([svec(np.eye(2) - np.trace(blocks, axis1=1, axis2=3)),
+                               svec(self._target - image)])
+
+    def residual(self, choi: np.ndarray) -> float:
+        """max |M svec(J) - b|."""
+        return _maxabs(self.gap(choi))
+
+    def excludes_psd(self, tolerance: float) -> bool:
+        """True when no PSD J has |M svec(J) - b|_2 <= ``tolerance``.
+
+        Decided only when the solution is unique (trivial null space). Then
+        M is injective with sigma_min(M) = sigma_min(R), and any such J has
+        |M (svec J - x_ls)|_2 <= tolerance + |r_ls|_2, so
+        |J - J_ls|_F <= delta = (tolerance + |r_ls|_2) / sigma_min(R); by
+        Weyl's inequality lambda_min(J_ls) >= -delta. Hence
+        lambda_min(J_ls) < -(delta + 1e-12), the margin for rounding, rules
+        every such J out.
+        """
+        if self.null_basis.shape[1]:
+            return False
+        slack = np.linalg.norm(self.gap(self.choi_ls))
+        delta = (tolerance + slack) / self.singular_values[-1] + 1e-12
+        return bool(np.linalg.eigvalsh(self.choi_ls)[0] < -delta)
 
 
 def _recovery_rows(marginal: DensityOperator, target: DensityOperator, act_on: str):
@@ -768,10 +866,6 @@ _SCHUR_RCOND = 1e-15
 _STALL_STEPS = 5
 
 
-def _hermitian_part(matrix: np.ndarray) -> np.ndarray:
-    return (matrix + np.swapaxes(matrix, -1, -2).conj()) / 2
-
-
 def _inner(a: np.ndarray, b: np.ndarray) -> float:
     """Trace inner product Re Tr(a' b)."""
     return float(np.vdot(a, b).real)
@@ -788,14 +882,14 @@ def _step_to_boundary(inverse_factor: np.ndarray, direction: np.ndarray) -> floa
     return math.inf if lowest >= 0 else -1.0 / lowest
 
 
-def _reduced_overhead(matrix: np.ndarray, rhs: np.ndarray, affine: _AffineProjector,
-                      config: SolverConfig | None = None):
+def _reduced_overhead(system: _RecoverySystem, config: SolverConfig | None = None):
     """Minimal c1 + c2 over the splits of the recovery system's solutions.
 
-    With N = ``affine.null_basis`` and G the basis of
-    :func:`_tp_compatible_basis`, J = unsvec(x_ls + N y) runs over the
-    solutions of M svec(J) = b and J2 = unsvec(G w) over the Choi matrices
-    with Tr_out J2 = c2 I, c2 = Tr J2 / 2. Then J1 = J + J2 has
+    With x_ls and N = ``system.null_basis`` from the block solve of
+    :class:`_RecoverySystem` and G the basis of :func:`_tp_compatible_basis`,
+    J = unsvec(x_ls + N y) runs over the solutions of M svec(J) = b and
+    J2 = unsvec(G w) over the Choi matrices with Tr_out J2 = c2 I,
+    c2 = Tr J2 / 2. Then J1 = J + J2 has
     Tr_out J1 = (1 + c2) I, and the overhead SDP becomes
 
         minimize 1 + Tr J2  over (w, y)  s.t.  S1 = J2 >= 0,  S2 = J + J2 >= 0,
@@ -821,14 +915,14 @@ def _reduced_overhead(matrix: np.ndarray, rhs: np.ndarray, affine: _AffineProjec
     Returns ``(solution, J, (Z1, Z2))`` with the repaired dual point.
     """
     cfg = config or SolverConfig()
-    dim = math.isqrt(matrix.shape[1])
+    choi_ls = system.choi_ls
+    dim = choi_ls.shape[0]
     basis = _tp_compatible_basis(dim)
-    null = affine.null_basis
+    null = system.null_basis
     identity = np.eye(dim)
     # svec columns of each cone's coefficient matrices over v = (w, y)
     columns = (np.hstack([basis, np.zeros_like(null)]), np.hstack([basis, null]))
     coefficients = [unsvec(col.T, dim) for col in columns]
-    choi_ls = unsvec(affine.x_ls, dim)
     offsets = (np.zeros_like(choi_ls), choi_ls)
     cost = np.concatenate([basis.T @ svec(identity), np.zeros(null.shape[1])])
 
@@ -918,7 +1012,7 @@ def _reduced_overhead(matrix: np.ndarray, rhs: np.ndarray, affine: _AffineProjec
 
     j2, j1 = slacks
     c2 = float(np.trace(j2).real) / 2
-    residual = _maxabs(matrix @ svec(j1 - j2) - rhs)
+    residual = system.residual(j1 - j2)
     if residual > cfg.eps_feasible:
         status = MAX_ITER  # the dead zone: J misses the state by more than eps_feasible
     solution = _solution(
@@ -940,34 +1034,39 @@ def sampling_overhead(
 
     Two cases need no SDP. When no Hermitian J with Tr_out J = I rebuilds
     the target, the answer is nu = +inf, read off the least-squares
-    residual r = b - M x_ls of the linear recovery system M x = b: above
-    ``eps_infeasible`` it is a Farkas witness (M'r = 0, b'r = |r|^2 > 0), and
-    any Hermitian solution J = J1 - J2 would split into two PSD blocks with
+    residual r = b - M x_ls of the linear recovery system M x = b, solved
+    block by block (:class:`_RecoverySystem`): above ``eps_infeasible`` it
+    is a Farkas witness (M'r = 0, b'r = |r|^2 > 0), and any Hermitian
+    solution J = J1 - J2 would split into two PSD blocks with
     Tr_out J_i = c_i I. When the Petz map recovers the state the answer is
     nu = 0 with the Petz channel as certificate: trace preservation forces
     c1 - c2 = 1 with c2 >= 0, so c1 + c2 >= 1 and the channel attains it.
-    Otherwise the interior-point solve of the reduced problem
-    (:func:`_reduced_overhead`) decides, on the same operator and SVD.
+    The Petz check is skipped when it cannot succeed: the Petz Choi matrix is
+    PSD, and a residual of at most ``eps_feasible`` in each entry of the
+    d x d target bounds its |M svec(J) - b|_2 by d eps_feasible, which
+    :meth:`_RecoverySystem.excludes_psd` may rule out. Otherwise the
+    interior-point solve of the reduced problem (:func:`_reduced_overhead`)
+    decides, on the same block solve.
     """
     cfg = config or SolverConfig()
-    matrix, rhs = _recovery_operator(marginal, target, act_on)
-    least_squares = _AffineProjector(matrix, rhs)
-    residual = _maxabs(rhs - matrix @ least_squares.x_ls)
+    system = _RecoverySystem(marginal, target, act_on)
+    residual = system.residual(system.choi_ls)
     if residual > cfg.eps_infeasible:
-        blocks = {"J": unsvec(least_squares.x_ls, math.isqrt(matrix.shape[1]))}
-        solution = _solution(INFEASIBLE, None, blocks, {}, residual, {"method": "least_squares"})
+        solution = _solution(INFEASIBLE, None, {"J": system.choi_ls}, {}, residual,
+                             {"method": "least_squares"})
         return OverheadResult(status=INFEASIBLE, nu=math.inf, solution=solution)
 
-    ext = _split_labels(marginal, target, act_on)  # validated with the operator
-    status, choi, residual = _petz_check(marginal, target, act_on, ext, cfg)
-    if status == FEASIBLE:
-        blocks = {"J1": choi.matrix, "J2": np.zeros_like(choi.matrix)}
-        solution = _solution(OPTIMAL, 1.0, blocks, {"c1": 1.0, "c2": 0.0}, residual,
-                             {"method": "petz"})
-        return OverheadResult(status=OPTIMAL, nu=0.0, c1=1.0, c2=0.0, choi_difference=choi,
-                              certificate_residual=residual, solution=solution)
+    ext = system.ext
+    if not system.excludes_psd(target.dim * cfg.eps_feasible):
+        status, choi, residual = _petz_check(marginal, target, act_on, ext, cfg)
+        if status == FEASIBLE:
+            blocks = {"J1": choi.matrix, "J2": np.zeros_like(choi.matrix)}
+            solution = _solution(OPTIMAL, 1.0, blocks, {"c1": 1.0, "c2": 0.0}, residual,
+                                 {"method": "petz"})
+            return OverheadResult(status=OPTIMAL, nu=0.0, c1=1.0, c2=0.0, choi_difference=choi,
+                                  certificate_residual=residual, solution=solution)
 
-    solution, choi_matrix, _ = _reduced_overhead(matrix, rhs, least_squares, cfg)
+    solution, choi_matrix, _ = _reduced_overhead(system, cfg)
     if solution.status != OPTIMAL:
         return OverheadResult(status=solution.status, nu=math.inf, solution=solution)
 

@@ -156,6 +156,13 @@ class TestCertifyCommand:
         assert report["config"]["max_iterations"] == 2000
         assert report["config"]["eps_feasible"] == 1e-8
 
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_max_iter_below_one_is_a_usage_error(self, capsys, count):
+        code, out, err = run(capsys, "certify", "--builtin", "W4", "--mode", "hptp",
+                             "--max-iter", count)
+        assert code == 1 and out == ""
+        assert err.startswith("error: max_iterations must be at least 1")
+
 
 class TestRelabeledStateFile:
     @pytest.fixture

@@ -80,6 +80,11 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             SolverConfig(eps_feasible=1e-4, eps_infeasible=1e-5)
 
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_config_needs_at_least_one_iteration(self, count):
+        with pytest.raises(ValueError, match="max_iterations must be at least 1"):
+            SolverConfig(max_iterations=count)
+
 
 class TestSolveExamples:
     def test_diagonal_sdp_is_a_linear_program(self):
@@ -721,9 +726,8 @@ def overhead_bracket(choi):
 
 
 def reduced_solve(marginal, target, config=None):
-    matrix, rhs = conic._recovery_operator(marginal, target, "C")
-    affine = conic._AffineProjector(matrix, rhs)
-    return (affine, *conic._reduced_overhead(matrix, rhs, affine, config))
+    system = conic._RecoverySystem(marginal, target, "C")
+    return (system, *conic._reduced_overhead(system, config))
 
 
 def assert_certified_dual(marginal, target, solution, choi, duals):
@@ -783,8 +787,8 @@ class TestInteriorPointOverhead:
         # a classical C leaves the coherences between C = 0 and C = 1 of J
         # free; the solve must still find c1 + c2 = 1, which a channel attains
         marginal, target = PETZ_CASES["markov #0"]
-        affine, solution, choi, _ = reduced_solve(marginal, target)
-        assert affine.null_basis.shape[1] == 30
+        system, solution, choi, _ = reduced_solve(marginal, target)
+        assert system.null_basis.shape[1] == 30
         assert solution.status == conic.OPTIMAL
         assert solution.objective_value == pytest.approx(1.0, abs=1e-8)
         assert solution.scalar_values["c2"] == pytest.approx(0.0, abs=1e-8)
@@ -805,14 +809,31 @@ class TestInteriorPointOverhead:
 
     def test_no_general_solver_on_any_route(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("sampling_overhead reached the general SDP route")
+            raise AssertionError("sampling_overhead reached the general SDP route "
+                                 "or the dense recovery operator")
 
-        monkeypatch.setattr(conic, "solve", refuse)
-        monkeypatch.setattr(conic, "build_overhead_problem", refuse)
-        for target in (reg.make_state("W4"), reg.make_state("GHZ4"), reg.make_state("RHO2"),
-                       HPTP_STATES[1][0]):
-            result = conic.sampling_overhead(reg.partial_trace(target, "D"), target)
+        for name in ("solve", "build_overhead_problem", "_recovery_operator", "_AffineProjector"):
+            monkeypatch.setattr(conic, name, refuse)
+        ghz3 = reg.make_state("GHZ3")
+        cases = [(reg.partial_trace(target, "D"), target) for target in (
+            reg.make_state("W4"), reg.make_state("GHZ4"), reg.make_state("RHO2"), HPTP_STATES[1][0]
+        )] + [(ghz3, reg.tensor(ghz3, labeled("DE", projector(ket("00")))))]
+        for marginal, target in cases:
+            result = conic.sampling_overhead(marginal, target)
             assert result.status in (conic.OPTIMAL, conic.INFEASIBLE)
+
+    def test_w4_factors_no_matrix_taller_than_20_rows(self, monkeypatch):
+        shapes = []
+        svd = np.linalg.svd
+
+        def recording(matrix, *args, **kwargs):
+            shapes.append(np.shape(matrix))
+            return svd(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        w4 = reg.make_state("W4")
+        assert conic.sampling_overhead(reg.partial_trace(w4, "D"), w4).status == conic.OPTIMAL
+        assert shapes and max(rows for rows, _ in shapes) <= 20
 
     def test_stalled_gap_gives_max_iter(self, monkeypatch):
         # with no reachable tolerance the solve must stop once the gap stops
@@ -831,3 +852,78 @@ class TestInteriorPointOverhead:
         assert 1e-7 < result.solution.primal_residual <= 1e-5
         assert result.status == conic.MAX_ITER and math.isinf(result.nu)
         assert result.solution.debug["method"] == "interior_point"
+
+
+# ---------------------------------------------------------------------------
+# Block solve of the recovery system against the dense SVD
+# ---------------------------------------------------------------------------
+
+
+def block_solve_cases():
+    cases = {}
+    for name in ("W4", "RHO2", "GHZ4"):
+        cases[name] = (*PETZ_CASES[name], "C")
+    cases["markov #0"] = (*PETZ_CASES["markov #0"], "C")
+    for seed in range(3):
+        state = HPTP_STATES[seed][0]
+        cases[f"hptp #{seed}"] = (reg.partial_trace(state, "D"), state, "C")
+    for seed in range(3):
+        cases[f"virtual-only #{seed}"] = (*virtual_only_state(np.random.default_rng([seed, 3])),
+                                          "C")
+    for p in (0.0, 0.5, 0.95):
+        state = reg.make_state("MIX", p=p)
+        cases[f"MIX({p})"] = (reg.partial_trace(state, "D"), state, "C")
+    cases["GHZ4 on (W, X, Y, Z)"] = relabeled_ghz4()
+    ghz3 = reg.make_state("GHZ3")
+    cases["GHZ3 + |00> on (D, E)"] = (ghz3, reg.tensor(ghz3, labeled("DE", projector(ket("00")))),
+                                      "C")
+    return cases
+
+
+BLOCK_SOLVE_CASES = block_solve_cases()
+
+
+class TestBlockSolve:
+    @pytest.mark.parametrize("name", list(BLOCK_SOLVE_CASES))
+    def test_matches_the_dense_least_squares(self, name):
+        marginal, target, act_on = BLOCK_SOLVE_CASES[name]
+        system = conic._RecoverySystem(marginal, target, act_on)
+        matrix, rhs = conic._recovery_operator(marginal, target, act_on)
+        dense = conic._AffineProjector(matrix, rhs)
+        assert np.abs(system.x_ls - dense.x_ls).max() <= 1e-12
+        dense_residual = np.abs(rhs - matrix @ dense.x_ls).max()
+        assert system.residual(system.choi_ls) == pytest.approx(dense_residual, abs=1e-12)
+        _, s, vt = np.linalg.svd(matrix)
+        dense_null = vt[int((s > 1e-12 * s[0]).sum()):].T
+        null = system.null_basis
+        assert null.shape == dense_null.shape
+        assert np.abs(null.T @ null - np.eye(null.shape[1])).max(initial=0.0) <= 1e-12
+        assert np.abs(null @ null.T - dense_null @ dense_null.T).max() <= 1e-12
+        choi_dim = math.isqrt(matrix.shape[1])
+        choi = random_hermitian(np.random.default_rng(len(name)), choi_dim)
+        expected = np.abs(matrix @ conic.svec(choi) - rhs).max()
+        assert system.residual(choi) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("name", list(PETZ_CASES))
+    def test_psd_exclusion_never_rules_out_a_recovery(self, name):
+        marginal, target = PETZ_CASES[name]
+        system = conic._RecoverySystem(marginal, target, "C")
+        excluded = system.excludes_psd(target.dim * SolverConfig().eps_feasible)
+        solution, _, _ = conic.cptp_certify(marginal, target)
+        assert not (excluded and solution.status == conic.FEASIBLE)
+        assert excluded or name != "W4"
+
+    def test_w4_pair_runs_the_petz_map_once(self, monkeypatch):
+        calls = []
+        petz_choi = conic._petz_choi
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return petz_choi(*args, **kwargs)
+
+        monkeypatch.setattr(conic, "_petz_choi", counting)
+        w4 = reg.make_state("W4")
+        marginal = reg.partial_trace(w4, "D")
+        assert conic.cptp_certify(marginal, w4)[0].status == conic.INFEASIBLE
+        assert conic.sampling_overhead(marginal, w4).status == conic.OPTIMAL
+        assert len(calls) == 1
