@@ -326,9 +326,14 @@ def make_parser() -> argparse.ArgumentParser:
         if out:
             p.add_argument("--out", help="also write the report to this path")
         if solver:
-            p.add_argument("--max-iter", type=int, default=50000)
-            p.add_argument("--eps-feas", type=float, default=1e-7)
-            p.add_argument("--eps-infeasible", type=float, default=1e-5)
+            p.add_argument("--max-iter", type=int, default=50000,
+                           help="cap on the interior-point Newton steps of one solve")
+            p.add_argument("--eps-feas", type=float, default=1e-7,
+                           help="largest max-abs reconstruction residual that counts as "
+                                "recovered (feasible)")
+            p.add_argument("--eps-infeasible", type=float, default=1e-5,
+                           help="smallest max-abs residual that counts as infeasible; "
+                                "residuals between the two are undetermined (exit 3)")
 
     def add_state_args(p):
         p.add_argument("state_file", nargs="?", help="state JSON file")

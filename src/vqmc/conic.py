@@ -1,4 +1,4 @@
-"""Recovery certification for the three questions, and a dense SDP engine.
+"""Recovery certification for the three questions, on one interior-point engine.
 
 Both recovery questions share one real linear system M svec(J) = b (trace
 preservation plus the entrywise reconstruction), built by a single
@@ -23,34 +23,29 @@ residual as ``primal_residual`` and ``debug == {"method": "least_squares"}``.
 Otherwise it runs the Petz check, unless the least-squares J rules it out,
 and returns nu = 0 when the Petz map recovers the state
 (``debug == {"method": "petz"}``). The remaining states go to
-:func:`_reduced_overhead`: a primal-dual interior-point method (HKM
-direction, Mehrotra predictor-corrector) on the overhead SDP reduced to the
-solutions J = J_ls + N y of the same system (N its null space from the same
-SVD), whose final dual point certifies a lower bound on c1 + c2
+:func:`_reduced_overhead`, the overhead SDP reduced to the solutions
+J = J_ls + N y of the same system (N its null space from the same SVD),
+whose final dual point certifies a lower bound on c1 + c2
 (``debug == {"method": "interior_point", "lower_bound": ..., "gap": ...}``).
-The dense M of :func:`_recovery_operator` is built only for the reference
-builders and the tests.
 
-The general engine :func:`solve` takes any :class:`ConicProblem` (PSD
-blocks up to 16x16, free scalars, affine equalities) and runs a
-first-order operator-splitting scheme: alternating steps on the affine
-equalities and projections onto the PSD cone (per-block
-eigendecomposition), with over-relaxation and residual-balanced penalty.
-The SVD A = U S V' of the equality matrix is its only factorization: phase
-2's affine projection and phase 1's regularized least-squares step are both
-closed forms in its factors. Feasibility is classified by a phase-1 pass
-that minimizes the equality residual over the cone: INFEASIBLE only when
-the converged minimum violation exceeds ``eps_infeasible``, FEASIBLE when a
-point reaches ``eps_feasible``; the dead zone in between surfaces as
-MAX_ITER. Nothing in the recovery answers calls it: it serves generic
-problems, the reference builders :func:`build_cptp_feasibility` and
-:func:`build_overhead_problem`, and the tests that compare against them.
+One engine solves every SDP: :func:`_interior_point`, a dense primal-dual
+path-following method (HKM direction, Mehrotra predictor-corrector) for
+min c.v subject to affine Hermitian blocks of v being PSD. Besides
+:func:`_reduced_overhead` it serves :func:`solve`, the reference solver
+for any :class:`ConicProblem` (PSD blocks, free scalars, affine
+equalities). ``solve`` reduces the equalities to x = x_ls + N y with one
+SVD, runs a phase 1 that minimizes the shift t making every block plus t I
+PSD, and a phase 2 on the objective; see its docstring for the verdicts.
+Nothing in the recovery answers calls it: it serves generic problems, the
+reference builders :func:`build_cptp_feasibility` and
+:func:`build_overhead_problem` (whose rows come from the dense M of
+:func:`_recovery_operator`), and the tests that compare against them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -173,11 +168,18 @@ class ConicProblem:
                         f"{where}: data for block {name!r} has shape {data.shape}, "
                         f"expected {(dims[name], dims[name])}"
                     )
+                if not np.isfinite(data).all():
+                    raise ProblemFormatError(f"{where}: data for block {name!r} is non-finite")
                 if np.abs(data - data.conj().T).max() > 1e-12:
                     raise ProblemFormatError(f"{where}: data for block {name!r} is not Hermitian")
-            for name in scalars:
+            for name, coeff in scalars.items():
                 if name not in self.free_scalars:
                     raise ProblemFormatError(f"{where} references undeclared scalar {name!r}")
+                if not math.isfinite(coeff):
+                    raise ProblemFormatError(f"{where}: coefficient of scalar {name!r} is non-finite")
+        for k, con in enumerate(self.equalities):
+            if not math.isfinite(con.rhs):
+                raise ProblemFormatError(f"equality {k}: right-hand side {con.rhs} is non-finite")
 
     @property
     def total_dim(self) -> int:
@@ -208,7 +210,7 @@ class ConicSolution:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances and splitting parameters.
+    """Verdict tolerances and the Newton-step cap.
 
     ``eps_feasible < eps_infeasible`` is required: residuals between the two
     are reported as undetermined (MAX_ITER) rather than forced into a
@@ -219,30 +221,18 @@ class SolverConfig:
     eps_psd: float = 1e-9
     eps_infeasible: float = 1e-5
     max_iterations: int = 50000
-    penalty: float = 1.0
-    over_relaxation: float = 1.6
-    eps_gap: float = 1e-8
-    check_interval: int = 25
-    stall_checks: int = 40
-    rebalance_interval: int = 500
 
     def __post_init__(self):
-        if min(self.eps_feasible, self.eps_psd, self.eps_infeasible) <= 0:
-            raise ValueError("tolerances must be positive")
+        tolerances = (self.eps_feasible, self.eps_psd, self.eps_infeasible)
+        if not all(math.isfinite(eps) and eps > 0 for eps in tolerances):
+            raise ValueError(f"tolerances must be finite and positive, got {tolerances}")
         if self.eps_feasible >= self.eps_infeasible:
             raise ValueError("eps_feasible must be smaller than eps_infeasible")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
 
     def to_dict(self) -> dict:
-        return {
-            "eps_feasible": self.eps_feasible,
-            "eps_psd": self.eps_psd,
-            "eps_infeasible": self.eps_infeasible,
-            "max_iterations": self.max_iterations,
-            "penalty": self.penalty,
-            "over_relaxation": self.over_relaxation,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -280,25 +270,6 @@ class _Assembled:
         for name, coeff in problem.objective_scalars.items():
             self.c[self.scalar_cols[name]] = coeff
 
-    def project_cone(self, x: np.ndarray) -> tuple[np.ndarray, float]:
-        """Project onto the PSD cone blockwise; returns (point, min eigenvalue seen)."""
-        out = x.copy()
-        eig_min = 0.0
-        for name, dim in self.block_dims:
-            sl = self.slices[name]
-            block = unsvec(x[sl], dim)
-            w, v = np.linalg.eigh((block + block.conj().T) / 2)
-            eig_min = min(eig_min, float(w[0]))
-            out[sl] = svec((v * np.maximum(w, 0.0)) @ v.conj().T)
-        return out, eig_min
-
-    def min_eigenvalue(self, x: np.ndarray) -> float:
-        eig = 0.0
-        for name, dim in self.block_dims:
-            h = unsvec(x[self.slices[name]], dim)
-            eig = min(eig, float(np.linalg.eigvalsh((h + h.conj().T) / 2)[0]))
-        return eig
-
     def extract(self, x: np.ndarray) -> tuple[dict, dict]:
         blocks = {name: unsvec(x[self.slices[name]], dim) for name, dim in self.block_dims}
         scalars = {name: float(x[col]) for name, col in self.scalar_cols.items()}
@@ -310,187 +281,232 @@ class _Assembled:
 # ---------------------------------------------------------------------------
 
 
-class _AffineProjector:
-    """Orthogonal projection onto {x : A x = P_range(A) b} through a cached SVD.
+def _affine_solutions(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x_ls, N) with {x : A x = P_range(A) b} = {x_ls + N y}, from one SVD of A.
 
-    The same factors A = U S V' give phase 1's regularized least-squares step.
+    x_ls is the min-norm least-squares solution and the columns of N are an
+    orthonormal basis of the null space of A.
     """
-
-    def __init__(self, A: np.ndarray, b: np.ndarray):
-        if A.size:
-            u, s, vt = np.linalg.svd(A, full_matrices=False)
-        else:
-            u, s, vt = np.zeros((A.shape[0], 0)), np.zeros(0), np.eye(A.shape[1])
-        rank = int((s > s[0] * 1e-12).sum()) if s.size and s[0] > 0 else 0
-        self.vr = vt[:rank].T
-        self.s = s[:rank]
-        self.beta = u[:, :rank].T @ b
-        self.x_ls = self.vr @ (self.beta / self.s)
-
-    def __call__(self, v: np.ndarray) -> np.ndarray:
-        return v - self.vr @ (self.vr.T @ v) + self.x_ls
-
-    def regularized_step(self, w: np.ndarray, sigma: float) -> np.ndarray:
-        """argmin_z 1/2 |A z - b|^2 + sigma/2 |z - w|^2, without forming A'A."""
-        s = self.s
-        return w + self.vr @ ((s * self.beta - s * s * (self.vr.T @ w)) / (s * s + sigma))
+    u, s, vt = np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1])
+    rank = int((s > s[0] * 1e-12).sum()) if s.size and s[0] > 0 else 0
+    return vt[:rank].T @ ((u[:, :rank].T @ b) / s[:rank]), vt[rank:].T
 
 
 def _maxabs(v: np.ndarray) -> float:
     return float(np.abs(v).max()) if v.size else 0.0
 
 
-def solve(problem: ConicProblem, config: SolverConfig | None = None) -> ConicSolution:
-    """Solve a conic problem: phase-1 feasibility, then phase-2 optimization.
+# Stop when the complementarity gap is below this fraction of max(1, |objective|).
+_GAP_TOL = 1e-10
+# Fraction of the step to the boundary of the cone that a Newton step takes.
+_STEP_FRACTION = 0.98
+# Relative eigenvalue cut-off of the Schur matrix.
+_SCHUR_RCOND = 1e-15
+# Give up (MAX_ITER) when the gap has not halved over this many Newton steps.
+_STALL_STEPS = 5
 
-    Returned block values are exact on the affine equalities (up to the
-    least-squares floor) and PSD within ``eps_psd``; INFEASIBLE is declared
-    only when the converged phase-1 violation exceeds ``eps_infeasible``.
+
+def _inner(a: np.ndarray, b: np.ndarray) -> float:
+    """Trace inner product Re Tr(a' b)."""
+    return float(np.vdot(a, b).real)
+
+
+def _inverse_factor(matrix: np.ndarray) -> np.ndarray:
+    """L^-1 for the Cholesky factor L L' of a positive definite matrix."""
+    return np.linalg.inv(np.linalg.cholesky(matrix))
+
+
+def _step_to_boundary(inverse_factor: np.ndarray, direction: np.ndarray) -> float:
+    """Largest alpha keeping L L' + alpha D PSD, given L^-1."""
+    lowest = float(np.linalg.eigvalsh(inverse_factor @ direction @ inverse_factor.conj().T)[0])
+    return math.inf if lowest >= 0 else -1.0 / lowest
+
+
+def _interior_point(offsets, columns, cost, v, constant, config):
+    """Minimize constant + cost . v  s.t.  S_k = offset_k + unsvec(col_k v) >= 0.
+
+    ``offsets`` are Hermitian matrices, ``columns`` the real svec columns of
+    each cone's coefficient matrices over v, and ``v`` must be strictly
+    feasible. The dual is
+
+        maximize constant - sum_k <Z_k, offset_k>  s.t.  Z_k >= 0,
+                                                         sum_k col_k' svec(Z_k) = cost.
+
+    A primal-dual path-following method runs from v and Z_k = I/2: HKM
+    direction (Helmberg-Rendl-Vanderbei-Wolkowicz), Mehrotra
+    predictor-corrector, one refinement step on each Newton solve, and
+    ``config.max_iterations`` Newton steps at most. The primal stays
+    feasible; the dual reaches feasibility along the way. OPTIMAL when the
+    complementarity gap sum_k <Z_k, S_k> is at most ``_GAP_TOL``
+    max(1, |objective|); MAX_ITER at the cap, when a cone factorization
+    fails, or when the gap has stalled.
+
+    Returns ``(status, v, slacks, duals, iterations, gaps)``, with the gap
+    before each Newton step in ``gaps``.
+    """
+    dims = [offset.shape[0] for offset in offsets]
+    order = sum(dims)
+    coefficients = [unsvec(col.T, dim) for col, dim in zip(columns, dims)]
+
+    def lift(v):
+        return [unsvec(col @ v, dim) for col, dim in zip(columns, dims)]
+
+    def adjoint(blocks):
+        return sum(col.T @ svec(block) for col, block in zip(columns, blocks))
+
+    duals = [np.eye(dim) / 2 for dim in dims]
+    status, iterations, gaps = MAX_ITER, 0, []
+    while True:
+        slacks = [offset + term for offset, term in zip(offsets, lift(v))]
+        objective = constant + float(cost @ v)
+        gap = sum(_inner(z, s) for z, s in zip(duals, slacks))
+        if gap <= _GAP_TOL * max(1.0, abs(objective)):
+            status = OPTIMAL
+            break
+        gaps.append(gap)
+        if iterations >= config.max_iterations or (
+            iterations >= _STALL_STEPS and gap > gaps[-1 - _STALL_STEPS] / 2
+        ):
+            break
+        try:
+            inverse_slacks = [_inverse_factor(s) for s in slacks]
+            inverse_duals = [_inverse_factor(z) for z in duals]
+        except np.linalg.LinAlgError:
+            break
+        s_inv = [f.conj().T @ f for f in inverse_slacks]
+        schur = sum(
+            col.T @ svec(_hermitian_part(z @ coef @ si)).T
+            for col, coef, z, si in zip(columns, coefficients, duals, s_inv)
+        )
+        # Near the optimum the Schur matrix is singular up to rounding along
+        # moves within a non-unique optimal face, which cost nothing: solve
+        # on its numerically nonsingular eigenspace only.
+        w, u = np.linalg.eigh((schur + schur.T) / 2)
+        keep = w > _SCHUR_RCOND * w[-1]
+        u, w = u[:, keep], w[keep]
+        residual = cost - adjoint(duals)
+
+        def direction(sigma_mu, corrections):
+            # dZ_k = base_k - herm(Z_k dS_k S_k^-1), with dv chosen so that
+            # <A, dZ> = residual; one refinement step on the Schur solve
+            base = [sigma_mu * si - z - c for si, z, c in zip(s_inv, duals, corrections)]
+
+            def slack_and_dual(dv):
+                ds = lift(dv)
+                return ds, [b - _hermitian_part(z @ d @ si)
+                            for b, z, d, si in zip(base, duals, ds, s_inv)]
+
+            dv = u @ (u.T @ (adjoint(base) - residual) / w)
+            _, dz = slack_and_dual(dv)
+            dv = dv - u @ (u.T @ (residual - adjoint(dz)) / w)
+            return (dv, *slack_and_dual(dv))
+
+        def steps(ds, dz, fraction):
+            alpha_p = min(_step_to_boundary(f, d) for f, d in zip(inverse_slacks, ds))
+            alpha_d = min(_step_to_boundary(f, d) for f, d in zip(inverse_duals, dz))
+            return min(1.0, fraction * alpha_p), min(1.0, fraction * alpha_d)
+
+        mu = gap / order
+        _, ds, dz = direction(0.0, [0.0] * len(dims))
+        alpha_p, alpha_d = steps(ds, dz, 1.0)
+        mu_affine = sum(
+            _inner(z + alpha_d * dzk, s + alpha_p * dsk)
+            for z, s, dzk, dsk in zip(duals, slacks, dz, ds)
+        ) / order
+        corrections = [_hermitian_part(dzk @ dsk @ si) for dzk, dsk, si in zip(dz, ds, s_inv)]
+        dv, ds, dz = direction((mu_affine / mu) ** 3 * mu, corrections)
+        alpha_p, alpha_d = steps(ds, dz, _STEP_FRACTION)
+        v = v + alpha_p * dv
+        duals = [_hermitian_part(z + alpha_d * dzk) for z, dzk in zip(duals, dz)]
+        iterations += 1
+    return status, v, slacks, duals, iterations, gaps
+
+
+def solve(problem: ConicProblem, config: SolverConfig | None = None) -> ConicSolution:
+    """Solve a conic problem with :func:`_interior_point`, in two phases.
+
+    One SVD of the equality matrix writes its solutions as x = x_ls + N y.
+    A least-squares residual above ``eps_infeasible`` is INFEASIBLE, one
+    above ``eps_feasible`` MAX_ITER (the dead zone), both at 0 iterations.
+    Phase 1 minimizes t subject to X_k(y) + t I >= 0 for every PSD block
+    and t >= -1. A phase-1 point with t <= ``eps_psd`` is FEASIBLE.
+    Otherwise that point is projected onto the cone and returned: INFEASIBLE
+    when phase 1 converged and the projection violates the equalities by
+    more than ``eps_infeasible``, MAX_ITER otherwise. Phase 2 minimizes the
+    objective from the phase-1 point over X_k(y) >= 0, or over
+    X_k(y) + eps_psd I >= 0 when phase 1 found no strictly feasible point
+    (t >= 0). It is OPTIMAL when the Newton loop converges to a dual point
+    that solves the dual equalities within ``eps_feasible`` (relative), and
+    MAX_ITER otherwise, e.g. on an unbounded objective. ``iterations``
+    counts the Newton steps of both phases and
+    ``debug["residual_history"]`` holds the complementarity gap before each.
     """
     cfg = config or SolverConfig()
     problem.validate()
     asm = _Assembled(problem)
     A, b, c = asm.A, asm.b, asm.c
-    has_objective = bool(np.any(c))
+    x_ls, null = _affine_solutions(A, b)
     history: list[float] = []
 
-    proj_aff = _AffineProjector(A, b)
-    ls_residual = _maxabs(A @ proj_aff.x_ls - b)
-
     def finished(status, x, iterations):
-        blocks, scalars = asm.extract(x)
-        return ConicSolution(
-            status=status,
-            objective_value=None if status == INFEASIBLE else float(c @ x),
-            block_values=blocks,
-            scalar_values=scalars,
-            primal_residual=_maxabs(A @ x - b),
-            min_eigenvalue=asm.min_eigenvalue(x),
-            iterations=iterations,
-            debug={
-                "psd_blocks": [[name, dim] for name, dim in problem.psd_blocks],
-                "free_scalars": list(problem.free_scalars),
-                "constraint_count": asm.m,
-                "vectorized_dim": asm.n,
-                "residual_history": _downsample(history),
-            },
-        )
+        return _solution(status, float(c @ x), *asm.extract(x), _maxabs(A @ x - b), {
+            "psd_blocks": [[name, dim] for name, dim in problem.psd_blocks],
+            "free_scalars": list(problem.free_scalars),
+            "constraint_count": asm.m,
+            "vectorized_dim": asm.n,
+            "residual_history": history,
+        }, iterations)
 
-    if ls_residual > cfg.eps_infeasible:
-        # no point in the cone can close an affine-inconsistent system
-        history.append(ls_residual)
-        x_cone, _ = asm.project_cone(proj_aff.x_ls)
-        return finished(INFEASIBLE, x_cone, 0)
+    def cone_projection(x):
+        x = x.copy()
+        for name, dim in asm.block_dims:
+            w, v = np.linalg.eigh(unsvec(x[asm.slices[name]], dim))
+            x[asm.slices[name]] = svec((v * np.maximum(w, 0.0)) @ v.conj().T)
+        return x
 
-    x_feas, iters1, status1 = _phase1(asm, proj_aff, cfg, history)
-    if status1 is not FEASIBLE:
-        return finished(status1, x_feas, iters1)
-    if not has_objective:
-        return finished(FEASIBLE, x_feas, iters1)
+    def verdict(violation):
+        return INFEASIBLE if violation > cfg.eps_infeasible else MAX_ITER
 
-    x_opt, iters2, status2 = _phase2(asm, proj_aff, x_feas, cfg, history)
-    return finished(status2, x_opt, iters1 + iters2)
+    ls_residual = _maxabs(A @ x_ls - b)
+    if ls_residual > cfg.eps_feasible:
+        return finished(verdict(ls_residual), cone_projection(x_ls), 0)
 
+    offsets = [unsvec(x_ls[asm.slices[name]], dim) for name, dim in asm.block_dims]
+    columns = [null[asm.slices[name]] for name, _ in asm.block_dims]
+    # phase 1 over v = (y, t), with the cones X_k(y) + t I and 1 + t
+    n_y = null.shape[1]
+    t_row = np.eye(1, n_y + 1, n_y)
+    lowest = min((float(np.linalg.eigvalsh(offset)[0]) for offset in offsets), default=0.0)
+    status, v, _, _, iterations, gaps = _interior_point(
+        offsets + [np.ones((1, 1))],
+        [np.hstack([col, svec(np.eye(len(offset)))[:, None]])
+         for col, offset in zip(columns, offsets)] + [t_row],
+        cost=t_row[0], v=np.append(np.zeros(n_y), max(0.0, -lowest) + 1.0), constant=0.0,
+        config=cfg,
+    )
+    history += gaps
+    y, t = v[:-1], v[-1]
+    x = x_ls + null @ y
+    if t > cfg.eps_psd:
+        x = cone_projection(x)
+        violation = _maxabs(A @ x - b)
+        return finished(verdict(violation) if status == OPTIMAL else MAX_ITER, x, iterations)
+    if not np.any(c):
+        return finished(FEASIBLE, x, iterations)
 
-def _downsample(history: list[float], limit: int = 200) -> list[float]:
-    if len(history) <= limit:
-        return list(history)
-    stride = -(-len(history) // limit)
-    return history[::stride]
-
-
-def _rebalance(sigma, u, split_gap, cone_step):
-    """Residual balancing: double or halve the penalty when the primal residual
-    |split_gap| and the dual residual sigma |cone_step| drift 10x apart, and
-    rescale the scaled multiplier ``u`` to match."""
-    prim = float(np.linalg.norm(split_gap))
-    dual = sigma * float(np.linalg.norm(cone_step))
-    if prim > 10.0 * dual and sigma < 1e6:
-        return sigma * 2.0, u / 2.0
-    if dual > 10.0 * prim and sigma > 1e-6:
-        return sigma / 2.0, u * 2.0
-    return sigma, u
-
-
-def _phase1(asm, proj_aff, cfg, history):
-    """Cone-constrained least squares on the equality residual (ADMM)."""
-    A, b = asm.A, asm.b
-    sigma = cfg.penalty
-
-    x, _ = asm.project_cone(proj_aff.x_ls)
-    xbar = proj_aff(x)
-    if asm.min_eigenvalue(xbar) >= -cfg.eps_psd and _maxabs(A @ xbar - b) <= cfg.eps_feasible:
-        return xbar, 0, FEASIBLE
-
-    u = np.zeros(asm.n)
-    best_residual = _maxabs(A @ x - b)
-    stall = 0
-    for it in range(1, cfg.max_iterations + 1):
-        z = proj_aff.regularized_step(x - u, sigma)
-        z_relaxed = cfg.over_relaxation * z + (1.0 - cfg.over_relaxation) * x
-        x_prev = x
-        x, _ = asm.project_cone(z_relaxed + u)
-        u = u + z_relaxed - x
-
-        if it % cfg.check_interval == 0:
-            xbar = proj_aff(x)
-            if (
-                asm.min_eigenvalue(xbar) >= -cfg.eps_psd
-                and _maxabs(A @ xbar - b) <= cfg.eps_feasible
-            ):
-                return xbar, it, FEASIBLE
-            residual = _maxabs(A @ x - b)
-            history.append(residual)
-            if residual >= best_residual * (1.0 - 1e-9):
-                stall += 1
-            else:
-                stall = 0
-            best_residual = min(best_residual, residual)
-            gap = _maxabs(x - z)
-            if stall >= cfg.stall_checks and gap <= 1e-6 * (1.0 + _maxabs(x)):
-                status = INFEASIBLE if best_residual > cfg.eps_infeasible else MAX_ITER
-                return x, it, status
-        if it % cfg.rebalance_interval == 0:
-            sigma, u = _rebalance(sigma, u, x - z, x - x_prev)
-
-    residual = _maxabs(A @ x - b)
-    status = INFEASIBLE if (stall >= cfg.stall_checks and residual > cfg.eps_infeasible) else MAX_ITER
-    return x, cfg.max_iterations, status
-
-
-def _phase2(asm, proj_aff, x_start, cfg, history):
-    """Minimize the linear objective over affine-set /\\ cone (ADMM)."""
-    A, b, c = asm.A, asm.b, asm.c
-    sigma = cfg.penalty
-    z = x_start.copy()
-    u = np.zeros(asm.n)
-    last_objective = math.inf
-    plateau = 0
-    for it in range(1, cfg.max_iterations + 1):
-        x = proj_aff(z - u - c / sigma)
-        x_relaxed = cfg.over_relaxation * x + (1.0 - cfg.over_relaxation) * z
-        z_prev = z
-        z, _ = asm.project_cone(x_relaxed + u)
-        u = u + x_relaxed - z
-
-        if it % cfg.check_interval == 0:
-            gap = _maxabs(x - z)
-            history.append(_maxabs(A @ z - b))
-            objective = float(c @ z)
-            settled = abs(objective - last_objective) <= 1e-11 * max(1.0, abs(objective))
-            plateau = plateau + 1 if settled else 0
-            last_objective = objective
-            if gap <= cfg.eps_gap and plateau >= 3:
-                xbar = proj_aff(z)
-                if (
-                    asm.min_eigenvalue(xbar) >= -cfg.eps_psd
-                    and _maxabs(A @ xbar - b) <= cfg.eps_feasible
-                ):
-                    return xbar, it, OPTIMAL
-        if it % cfg.rebalance_interval == 0:
-            sigma, u = _rebalance(sigma, u, x - z, z - z_prev)
-
-    return proj_aff(z), cfg.max_iterations, MAX_ITER
+    shift = cfg.eps_psd if t >= 0 else 0.0
+    cost = null.T @ c
+    status, y, _, duals, steps, gaps = _interior_point(
+        [offset + shift * np.eye(len(offset)) for offset in offsets],
+        columns, cost, y, float(c @ x_ls), cfg,
+    )
+    history += gaps
+    # a closed gap proves optimality only with a feasible dual, which does
+    # not exist when the objective falls along a direction no cone bounds
+    dual_residual = cost - sum(col.T @ svec(z) for col, z in zip(columns, duals))
+    if _maxabs(dual_residual) > cfg.eps_feasible * max(1.0, _maxabs(cost)):
+        status = MAX_ITER
+    return finished(status, x_ls + null @ y, iterations + steps)
 
 
 # ---------------------------------------------------------------------------
@@ -842,8 +858,8 @@ def _petz_check(marginal: DensityOperator, target: DensityOperator, act_on: str,
 
 def _solution(status: str, objective: float | None, blocks: dict, scalars: dict,
               residual: float, debug: dict, iterations: int = 0) -> ConicSolution:
-    """A ConicSolution for a verdict reached without the general solver."""
-    eig = min(0.0, *(float(np.linalg.eigvalsh(block)[0]) for block in blocks.values()))
+    """A ConicSolution whose min eigenvalue is read off the blocks."""
+    eig = min([0.0, *(float(np.linalg.eigvalsh(block)[0]) for block in blocks.values())])
     return ConicSolution(
         status=status,
         objective_value=None if status == INFEASIBLE else objective,
@@ -854,32 +870,6 @@ def _solution(status: str, objective: float | None, blocks: dict, scalars: dict,
         iterations=iterations,
         debug=debug,
     )
-
-
-# Stop when the complementarity gap is below this fraction of max(1, c1 + c2).
-_GAP_TOL = 1e-10
-# Fraction of the step to the boundary of the cone that a Newton step takes.
-_STEP_FRACTION = 0.98
-# Relative eigenvalue cut-off of the Schur matrix.
-_SCHUR_RCOND = 1e-15
-# Give up (MAX_ITER) when the gap has not halved over this many Newton steps.
-_STALL_STEPS = 5
-
-
-def _inner(a: np.ndarray, b: np.ndarray) -> float:
-    """Trace inner product Re Tr(a' b)."""
-    return float(np.vdot(a, b).real)
-
-
-def _inverse_factor(matrix: np.ndarray) -> np.ndarray:
-    """L^-1 for the Cholesky factor L L' of a positive definite matrix."""
-    return np.linalg.inv(np.linalg.cholesky(matrix))
-
-
-def _step_to_boundary(inverse_factor: np.ndarray, direction: np.ndarray) -> float:
-    """Largest alpha keeping L L' + alpha D PSD, given L^-1."""
-    lowest = float(np.linalg.eigvalsh(inverse_factor @ direction @ inverse_factor.conj().T)[0])
-    return math.inf if lowest >= 0 else -1.0 / lowest
 
 
 def _reduced_overhead(system: _RecoverySystem, config: SolverConfig | None = None):
@@ -899,15 +889,11 @@ def _reduced_overhead(system: _RecoverySystem, config: SolverConfig | None = Non
         maximize 1 - <Z2, J>  s.t.  Z1, Z2 >= 0,  <Z1 + Z2, G_i> = Tr G_i,
                                     <Z2, N_j> = 0.
 
-    J2 = s I with s = max(0, -lambda_min(J)) + 1 and Z1 = Z2 = I/2 are
-    strictly feasible, so a primal-dual path-following method starts there:
-    HKM direction (Helmberg-Rendl-Vanderbei-Wolkowicz), Mehrotra
-    predictor-corrector, one refinement step on each Newton solve, and
-    ``config.max_iterations`` Newton steps at most. OPTIMAL when the
-    complementarity gap sum_k <Z_k, S_k> is at most ``_GAP_TOL`` max(1, c1 + c2)
-    and J solves the system within ``eps_feasible``; MAX_ITER at the cap,
-    when a cone factorization fails, when the gap has stalled, or when the
-    least-squares residual lies in the dead zone above ``eps_feasible``.
+    J2 = s I with s = max(0, -lambda_min(J)) + 1 is strictly feasible, and
+    :func:`_interior_point` solves from there. OPTIMAL when it converges
+    and J solves the system within ``eps_feasible``; MAX_ITER when it does
+    not, or when the least-squares residual lies in the dead zone above
+    ``eps_feasible``.
     The final dual point, repaired to exact feasibility, certifies
     ``debug["lower_bound"]`` <= every feasible c1 + c2; ``debug["gap"]`` is
     c1 + c2 minus it.
@@ -922,83 +908,11 @@ def _reduced_overhead(system: _RecoverySystem, config: SolverConfig | None = Non
     identity = np.eye(dim)
     # svec columns of each cone's coefficient matrices over v = (w, y)
     columns = (np.hstack([basis, np.zeros_like(null)]), np.hstack([basis, null]))
-    coefficients = [unsvec(col.T, dim) for col in columns]
     offsets = (np.zeros_like(choi_ls), choi_ls)
     cost = np.concatenate([basis.T @ svec(identity), np.zeros(null.shape[1])])
-
-    def lift(v):
-        return [unsvec(col @ v, dim) for col in columns]
-
-    def adjoint(blocks):
-        return sum(col.T @ svec(block) for col, block in zip(columns, blocks))
-
     start = max(0.0, -float(np.linalg.eigvalsh(choi_ls)[0])) + 1.0
     v = np.concatenate([basis.T @ svec(start * identity), np.zeros(null.shape[1])])
-    duals = [identity / 2, identity / 2]
-    status, iterations, gaps = MAX_ITER, 0, []
-    while True:
-        slacks = [offset + term for offset, term in zip(offsets, lift(v))]
-        objective = 1.0 + float(cost @ v)
-        gap = sum(_inner(z, s) for z, s in zip(duals, slacks))
-        if gap <= _GAP_TOL * max(1.0, objective):
-            status = OPTIMAL
-            break
-        gaps.append(gap)
-        if iterations >= cfg.max_iterations or (
-            iterations >= _STALL_STEPS and gap > gaps[-1 - _STALL_STEPS] / 2
-        ):
-            break
-        try:
-            inverse_slacks = [_inverse_factor(s) for s in slacks]
-            inverse_duals = [_inverse_factor(z) for z in duals]
-        except np.linalg.LinAlgError:
-            break
-        s_inv = [f.conj().T @ f for f in inverse_slacks]
-        schur = sum(
-            col.T @ svec(_hermitian_part(z @ coef @ si)).T
-            for col, coef, z, si in zip(columns, coefficients, duals, s_inv)
-        )
-        # Near the optimum the Schur matrix is singular up to rounding along
-        # moves within a non-unique optimal face, which cost nothing: solve
-        # on its numerically nonsingular eigenspace only.
-        w, u = np.linalg.eigh((schur + schur.T) / 2)
-        keep = w > _SCHUR_RCOND * w[-1]
-        u, w = u[:, keep], w[keep]
-        residual = cost - adjoint(duals)
-
-        def direction(sigma_mu, corrections):
-            # dZ_k = base_k - herm(Z_k dS_k S_k^-1), with dv chosen so that
-            # <A, dZ> = residual; one refinement step on the Schur solve
-            base = [sigma_mu * si - z - c for si, z, c in zip(s_inv, duals, corrections)]
-
-            def slack_and_dual(dv):
-                ds = lift(dv)
-                return ds, [b - _hermitian_part(z @ d @ si)
-                            for b, z, d, si in zip(base, duals, ds, s_inv)]
-
-            dv = u @ (u.T @ (adjoint(base) - residual) / w)
-            _, dz = slack_and_dual(dv)
-            dv = dv - u @ (u.T @ (residual - adjoint(dz)) / w)
-            return (dv, *slack_and_dual(dv))
-
-        def steps(ds, dz, fraction):
-            alpha_p = min(_step_to_boundary(f, d) for f, d in zip(inverse_slacks, ds))
-            alpha_d = min(_step_to_boundary(f, d) for f, d in zip(inverse_duals, dz))
-            return min(1.0, fraction * alpha_p), min(1.0, fraction * alpha_d)
-
-        mu = gap / (2 * dim)
-        _, ds, dz = direction(0.0, [0.0, 0.0])
-        alpha_p, alpha_d = steps(ds, dz, 1.0)
-        mu_affine = sum(
-            _inner(z + alpha_d * dzk, s + alpha_p * dsk)
-            for z, s, dzk, dsk in zip(duals, slacks, dz, ds)
-        ) / (2 * dim)
-        corrections = [_hermitian_part(dzk @ dsk @ si) for dzk, dsk, si in zip(dz, ds, s_inv)]
-        dv, ds, dz = direction((mu_affine / mu) ** 3 * mu, corrections)
-        alpha_p, alpha_d = steps(ds, dz, _STEP_FRACTION)
-        v = v + alpha_p * dv
-        duals = [_hermitian_part(z + alpha_d * dzk) for z, dzk in zip(duals, dz)]
-        iterations += 1
+    status, v, slacks, duals, iterations, _ = _interior_point(offsets, columns, cost, v, 1.0, cfg)
 
     n_w = basis.shape[1]
     choi = choi_ls + unsvec(null @ v[n_w:], dim)

@@ -73,8 +73,8 @@ def test_criterion_01_w4_analytic_recovery():
 def test_criterion_02_w4_solver_feasibility():
     """CPTP feasibility on (Tr_D W4, W4) is FEASIBLE with residual <= 1e-6.
 
-    Computed ground truth: INFEASIBLE; the phase-1 violation converges
-    to about 0.23.
+    Computed ground truth: INFEASIBLE; the Petz map misses the state by
+    1/6 in its largest entry.
     """
     start = time.perf_counter()
     solution, _, residual = conic.cptp_certify(w4_marginal(), w4())

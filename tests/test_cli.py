@@ -163,6 +163,30 @@ class TestCertifyCommand:
         assert code == 1 and out == ""
         assert err.startswith("error: max_iterations must be at least 1")
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--eps-feas", "nan"), ("--eps-feas", "inf"), ("--eps-feas", "0"),
+        ("--eps-infeasible", "inf"), ("--eps-infeasible", "nan"),
+    ])
+    def test_non_finite_tolerance_is_a_usage_error(self, capsys, flag, value):
+        code, out, err = run(capsys, "certify", "--builtin", "GHZ4", "--mode", "cptp",
+                             flag, value)
+        assert code == 1 and out == ""
+        assert err.startswith("error: tolerances must be finite and positive")
+
+    def test_config_block_holds_the_solver_tolerances_only(self, capsys):
+        _, report = run_json(capsys, "certify", "--builtin", "W4", "--mode", "hptp")
+        assert set(report["config"]) == {
+            "eps_feasible", "eps_psd", "eps_infeasible", "max_iterations",
+        }
+
+    def test_solver_flags_say_what_they_bound(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["certify", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert "cap on the interior-point Newton steps" in text
+        assert "counts as recovered" in text
+        assert "counts as infeasible" in text
+
 
 class TestRelabeledStateFile:
     @pytest.fixture

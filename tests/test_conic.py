@@ -85,6 +85,35 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="max_iterations must be at least 1"):
             SolverConfig(max_iterations=count)
 
+    @pytest.mark.parametrize("field", ["eps_feasible", "eps_psd", "eps_infeasible"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0])
+    def test_config_needs_finite_positive_tolerances(self, field, value):
+        with pytest.raises(ValueError, match="tolerances must be finite and positive"):
+            SolverConfig(**{field: value})
+
+    @pytest.mark.parametrize("where", [
+        "equality block", "equality scalar", "rhs", "objective block", "objective scalar",
+    ])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_data(self, where, value):
+        data = np.eye(2)
+        if where.endswith("block"):
+            data = np.diag([1.0, value])
+        equality = Constraint(
+            blocks={"X": data if where == "equality block" else np.eye(2)},
+            scalars={"t": value if where == "equality scalar" else 1.0},
+            rhs=value if where == "rhs" else 1.0,
+        )
+        prob = ConicProblem(
+            psd_blocks=(("X", 2),),
+            free_scalars=("t",),
+            equalities=(equality,),
+            objective_blocks={"X": data if where == "objective block" else np.eye(2)},
+            objective_scalars={"t": value if where == "objective scalar" else 0.0},
+        )
+        with pytest.raises(conic.ProblemFormatError, match="non-finite"):
+            conic.solve(prob)
+
 
 class TestSolveExamples:
     def test_diagonal_sdp_is_a_linear_program(self):
@@ -157,24 +186,71 @@ class TestSolveExamples:
         assert np.array_equal(first.block_values["J"], second.block_values["J"])
 
 
-class TestPhaseOneStep:
-    @pytest.mark.parametrize("sigma", [1e-6, 1.0, 1e6])
-    @pytest.mark.parametrize("consistent", [True, False], ids=["consistent", "inconsistent"])
-    def test_svd_step_matches_normal_equations(self, sigma, consistent):
-        # rank 5 < n = 9 < m = 12: A has both a null space and a range defect
-        rng = np.random.default_rng(31)
-        m, n, rank = 12, 9, 5
-        A = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
-        b = A @ rng.standard_normal(n) if consistent else rng.standard_normal(m)
-        w = rng.standard_normal(n)
-        proj = conic._AffineProjector(A, b)
-        assert proj.s.size == rank
-        normal = A.T @ A + sigma * np.eye(n)
-        expected = np.linalg.solve(normal, A.T @ b + sigma * w)
-        step = proj.regularized_step(w, sigma)
-        # the reference solve is only accurate to its condition number times eps
-        tol = 10 * np.finfo(float).eps * np.linalg.cond(normal) * (1.0 + np.abs(expected).max())
-        assert np.abs(step - expected).max() <= tol
+class TestReferenceSolve:
+    """``solve`` against analytic optima, checked through ``recheck``."""
+
+    def test_w4_overhead_is_three(self):
+        w4 = reg.make_state("W4")
+        prob = conic.build_overhead_problem(reg.partial_trace(w4, "D"), w4)
+        solution = conic.solve(prob)
+        assert solution.status == conic.OPTIMAL
+        assert solution.objective_value == pytest.approx(3.0, abs=1e-9)
+        recheck(prob, solution)
+
+    def test_no_strictly_feasible_point(self):
+        # X11 = 0 forces a zero eigenvalue on every feasible X, so phase 2
+        # runs on the cone shifted by eps_psd; Tr X = X11 + X22 = 1 throughout
+        prob = ConicProblem(
+            psd_blocks=(("X", 2),),
+            equalities=(
+                Constraint(blocks={"X": np.diag([1.0, 0.0])}, scalars={}, rhs=0.0),
+                Constraint(blocks={"X": np.diag([0.0, 1.0])}, scalars={}, rhs=1.0),
+            ),
+            objective_blocks={"X": np.eye(2)},
+        )
+        solution = conic.solve(prob)
+        assert solution.status == conic.OPTIMAL
+        assert solution.objective_value == pytest.approx(1.0, abs=1e-9)
+        recheck(prob, solution)
+
+    def test_two_blocks_and_a_free_scalar(self):
+        # min s s.t. Tr X = 1, <sigma_x, X> = s, Tr Y + s = 1/2: the least
+        # eigenvalue of sigma_x, s = -1 at X = |-><-|, with Tr Y = 3/2
+        sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]])
+        prob = ConicProblem(
+            psd_blocks=(("X", 2), ("Y", 3)),
+            free_scalars=("s",),
+            equalities=(
+                Constraint(blocks={"X": np.eye(2)}, scalars={}, rhs=1.0),
+                Constraint(blocks={"X": sigma_x}, scalars={"s": -1.0}, rhs=0.0),
+                Constraint(blocks={"Y": np.eye(3)}, scalars={"s": 1.0}, rhs=0.5),
+            ),
+            objective_scalars={"s": 1.0},
+        )
+        solution = conic.solve(prob)
+        assert solution.status == conic.OPTIMAL
+        assert solution.objective_value == pytest.approx(-1.0, abs=1e-9)
+        assert solution.scalar_values["s"] == pytest.approx(-1.0, abs=1e-9)
+        minus = np.array([[1.0, -1.0], [-1.0, 1.0]]) / 2
+        assert np.abs(solution.block_values["X"] - minus).max() <= 1e-6
+        recheck(prob, solution)
+
+    def test_unbounded_objective_is_not_optimal(self):
+        # min s over a free scalar that no constraint or cone touches
+        prob = ConicProblem(
+            psd_blocks=(("X", 2),),
+            free_scalars=("s",),
+            equalities=(Constraint(blocks={"X": np.eye(2)}, scalars={}, rhs=1.0),),
+            objective_scalars={"s": 1.0},
+        )
+        assert conic.solve(prob).status == conic.MAX_ITER
+
+    def test_w4_cptp_takes_few_newton_steps(self):
+        w4 = reg.make_state("W4")
+        solution = conic.solve(conic.build_cptp_feasibility(reg.partial_trace(w4, "D"), w4))
+        assert solution.status == conic.INFEASIBLE
+        assert 0 < solution.iterations <= 50
+        assert len(solution.debug["residual_history"]) == solution.iterations
 
 
 class TestCptpFeasibility:
@@ -189,7 +265,8 @@ class TestCptpFeasibility:
 
     def test_w4_is_infeasible(self):
         # the only linear extension of the W marginal has an indefinite Choi,
-        # so no channel exists; phase-1 settles at a violation of about 0.23
+        # so no channel exists; its projection onto the cone violates the
+        # equalities by about 1
         w4 = reg.make_state("W4")
         marginal = reg.partial_trace(w4, "D")
         solution = conic.solve(conic.build_cptp_feasibility(marginal, w4))
@@ -617,7 +694,8 @@ INCONSISTENT_CASES = inconsistent_cases()
 
 
 def assert_matches_admm(marginal, target, result):
-    """The interior-point overhead against the ADMM solve of the full overhead SDP."""
+    """The reduced overhead solve against the reference solve of the full,
+    unreduced overhead SDP, which takes its rows from the dense operator."""
     solution = result.solution
     reference = conic.solve(conic.build_overhead_problem(marginal, target))
     total = result.c1 + result.c2
@@ -812,7 +890,8 @@ class TestInteriorPointOverhead:
             raise AssertionError("sampling_overhead reached the general SDP route "
                                  "or the dense recovery operator")
 
-        for name in ("solve", "build_overhead_problem", "_recovery_operator", "_AffineProjector"):
+        for name in ("solve", "build_overhead_problem", "_recovery_operator",
+                     "_affine_solutions"):
             monkeypatch.setattr(conic, name, refuse)
         ghz3 = reg.make_state("GHZ3")
         cases = [(reg.partial_trace(target, "D"), target) for target in (
@@ -889,9 +968,9 @@ class TestBlockSolve:
         marginal, target, act_on = BLOCK_SOLVE_CASES[name]
         system = conic._RecoverySystem(marginal, target, act_on)
         matrix, rhs = conic._recovery_operator(marginal, target, act_on)
-        dense = conic._AffineProjector(matrix, rhs)
-        assert np.abs(system.x_ls - dense.x_ls).max() <= 1e-12
-        dense_residual = np.abs(rhs - matrix @ dense.x_ls).max()
+        dense_x_ls, _ = conic._affine_solutions(matrix, rhs)
+        assert np.abs(system.x_ls - dense_x_ls).max() <= 1e-12
+        dense_residual = np.abs(rhs - matrix @ dense_x_ls).max()
         assert system.residual(system.choi_ls) == pytest.approx(dense_residual, abs=1e-12)
         _, s, vt = np.linalg.svd(matrix)
         dense_null = vt[int((s > 1e-12 * s[0]).sum()):].T
