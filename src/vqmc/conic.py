@@ -1,8 +1,9 @@
 """Recovery certification for the three questions, on one interior-point engine.
 
 Both recovery questions share one real linear system M svec(J) = b (trace
-preservation plus the entrywise reconstruction), built by a single
-contraction against the svec basis. Complex Hermitian d x d variables are
+preservation plus the entrywise reconstruction of the target from the
+marginal), and :class:`_RecoverySystem` is the only code that forms it.
+Complex Hermitian d x d variables are
 vectorized to real vectors of length d^2 (diagonal entries, then
 sqrt(2)-scaled real and imaginary upper triangles), which preserves inner
 products and keeps all constraint data real.
@@ -38,8 +39,9 @@ SVD, runs a phase 1 that minimizes the shift t making every block plus t I
 PSD, and a phase 2 on the objective; see its docstring for the verdicts.
 Nothing in the recovery answers calls it: it serves generic problems, the
 reference builders :func:`build_cptp_feasibility` and
-:func:`build_overhead_problem` (whose rows come from the dense M of
-:func:`_recovery_operator`), and the tests that compare against them.
+:func:`build_overhead_problem` (whose rows :meth:`_RecoverySystem.rows`
+reads off the same block map applied to the svec basis), and the tests that
+compare against them.
 """
 
 from __future__ import annotations
@@ -181,10 +183,6 @@ class ConicProblem:
             if not math.isfinite(con.rhs):
                 raise ProblemFormatError(f"equality {k}: right-hand side {con.rhs} is non-finite")
 
-    @property
-    def total_dim(self) -> int:
-        return sum(d * d for _, d in self.psd_blocks) + len(self.free_scalars)
-
 
 @dataclass(frozen=True)
 class ConicSolution:
@@ -322,7 +320,7 @@ def _step_to_boundary(inverse_factor: np.ndarray, direction: np.ndarray) -> floa
     return math.inf if lowest >= 0 else -1.0 / lowest
 
 
-def _interior_point(offsets, columns, cost, v, constant, config):
+def _interior_point(offsets, columns, cost, v, constant, config, limit=-math.inf):
     """Minimize constant + cost . v  s.t.  S_k = offset_k + unsvec(col_k v) >= 0.
 
     ``offsets`` are Hermitian matrices, ``columns`` the real svec columns of
@@ -338,8 +336,9 @@ def _interior_point(offsets, columns, cost, v, constant, config):
     ``config.max_iterations`` Newton steps at most. The primal stays
     feasible; the dual reaches feasibility along the way. OPTIMAL when the
     complementarity gap sum_k <Z_k, S_k> is at most ``_GAP_TOL``
-    max(1, |objective|); MAX_ITER at the cap, when a cone factorization
-    fails, or when the gap has stalled.
+    max(1, |objective|); FEASIBLE at the first iterate whose objective is
+    below ``limit``; MAX_ITER at the cap, when a cone factorization fails,
+    or when the gap has stalled.
 
     Returns ``(status, v, slacks, duals, iterations, gaps)``, with the gap
     before each Newton step in ``gaps``.
@@ -359,6 +358,9 @@ def _interior_point(offsets, columns, cost, v, constant, config):
     while True:
         slacks = [offset + term for offset, term in zip(offsets, lift(v))]
         objective = constant + float(cost @ v)
+        if objective < limit:
+            status = FEASIBLE
+            break
         gap = sum(_inner(z, s) for z, s in zip(duals, slacks))
         if gap <= _GAP_TOL * max(1.0, abs(objective)):
             status = OPTIMAL
@@ -429,7 +431,8 @@ def solve(problem: ConicProblem, config: SolverConfig | None = None) -> ConicSol
     A least-squares residual above ``eps_infeasible`` is INFEASIBLE, one
     above ``eps_feasible`` MAX_ITER (the dead zone), both at 0 iterations.
     Phase 1 minimizes t subject to X_k(y) + t I >= 0 for every PSD block
-    and t >= -1. A phase-1 point with t <= ``eps_psd`` is FEASIBLE.
+    and t >= -1, and stops at its first iterate with t < 0, which is
+    strictly feasible. A phase-1 point with t <= ``eps_psd`` is FEASIBLE.
     Otherwise that point is projected onto the cone and returned: INFEASIBLE
     when phase 1 converged and the projection violates the equalities by
     more than ``eps_infeasible``, MAX_ITER otherwise. Phase 2 minimizes the
@@ -482,7 +485,7 @@ def solve(problem: ConicProblem, config: SolverConfig | None = None) -> ConicSol
         [np.hstack([col, svec(np.eye(len(offset)))[:, None]])
          for col, offset in zip(columns, offsets)] + [t_row],
         cost=t_row[0], v=np.append(np.zeros(n_y), max(0.0, -lowest) + 1.0), constant=0.0,
-        config=cfg,
+        config=cfg, limit=0.0,
     )
     history += gaps
     y, t = v[:-1], v[-1]
@@ -551,54 +554,11 @@ def check_marginal(marginal: DensityOperator, target: DensityOperator, act_on: s
     return ext
 
 
-def _grouped_marginal(marginal: DensityOperator, act_on: str) -> np.ndarray:
-    """Marginal reordered so the acted subsystem is last, as a flat matrix."""
-    axis = marginal.register.axis(act_on)
-    n = marginal.register.n_qubits
-    order = [k for k in range(n) if k != axis] + [axis]
-    tensor_form = np.transpose(marginal.as_tensor(), order + [n + k for k in order])
-    return tensor_form.reshape(marginal.dim, marginal.dim)
-
-
-def _reconstruction_matrix(marginal: DensityOperator, act_on: str, n_ext: int) -> np.ndarray:
-    """Real matrix of the map svec(J) -> svec(extended state).
-
-    Implements the Choi application literally: one contraction of the
-    marginal, partially transposed on the acted slot, against the whole
-    stack of svec basis matrices, traced over the input slot. Kept
-    deliberately separate from the channel-application code used for
-    certificate verification.
-    """
-    rest_dim = marginal.dim // 2
-    out_dim = 2 ** (1 + n_ext)
-    full_dim = rest_dim * out_dim
-
-    grouped = _grouped_marginal(marginal, act_on).reshape(rest_dim, 2, rest_dim, 2)
-    rho_pt = np.transpose(grouped, (0, 3, 2, 1))
-    basis = _svec_basis(2 * out_dim).reshape(-1, 2, out_dim, 2, out_dim)
-    # image_k[a o, b p] = sum_{c,d} rho_pt[a c, b d] E_k[d o, c p]
-    images = np.einsum("acbd,kdocp->kaobp", rho_pt, basis, optimize=True)
-    return svec(images.reshape(-1, full_dim, full_dim)).T
-
-
-def _ordered_target(marginal: DensityOperator, target: DensityOperator, act_on: str,
-                    ext: tuple[str, ...]) -> np.ndarray:
-    """The target, permuted into the builder's output ordering."""
-    produced = [lab for lab in marginal.labels if lab != act_on] + [act_on, *ext]
-    perm = [target.labels.index(lab) for lab in produced]
-    n = len(produced)
-    tensor_form = np.transpose(target.as_tensor(), perm + [n + q for q in perm])
-    return tensor_form.reshape(target.dim, target.dim)
-
-
-@lru_cache(maxsize=None)
-def _tp_rows(choi_dim: int) -> np.ndarray:
-    """Read-only 4 x choi_dim**2 matrix of svec(J) -> svec(Tr_out J)."""
-    out_dim = choi_dim // 2
-    tp = np.einsum("kcd,op->kcodp", _svec_basis(2), np.eye(out_dim))
-    rows = svec(tp.reshape(4, choi_dim, choi_dim))
-    rows.setflags(write=False)
-    return rows
+def _output_trace(choi: np.ndarray) -> np.ndarray:
+    """Tr_out J of a Choi matrix on C (x) out, or of a stack of them (last two axes)."""
+    n = choi.shape[-1] // 2
+    blocks = choi.reshape(choi.shape[:-2] + (2, n, 2, n))
+    return np.trace(blocks, axis1=-3, axis2=-1)
 
 
 @lru_cache(maxsize=None)
@@ -608,31 +568,22 @@ def _tp_compatible_basis(choi_dim: int) -> np.ndarray:
     The complement is spanned by the three traceless trace-preservation
     rows: Tr_out X is a multiple of I_2 iff its traceless part vanishes.
     """
-    rows = _tp_rows(choi_dim)
+    rows = svec(_output_trace(_svec_basis(choi_dim))).T
     traceless = np.vstack([rows[0] - rows[1], rows[2:]])
     basis = np.linalg.svd(traceless)[2][3:].T.copy()
     basis.setflags(write=False)
     return basis
 
 
-def _recovery_operator(marginal: DensityOperator, target: DensityOperator, act_on: str):
-    """The real linear system M svec(J) = b shared by both recovery questions.
+class _RecoverySystem:
+    """The real linear system M svec(J) = b shared by both recovery questions,
+    solved block by block.
 
     The first four rows are trace preservation, Tr_out J = I with
     b = svec(I_2); the rest are the entrywise reconstruction of the target
-    from the marginal, with b = the target's svec.
-    """
-    ext = check_marginal(marginal, target, act_on)
-    matrix = np.vstack([
-        _tp_rows(2 ** (2 + len(ext))),
-        _reconstruction_matrix(marginal, act_on, len(ext)),
-    ])
-    rhs = np.concatenate([svec(np.eye(2)), svec(_ordered_target(marginal, target, act_on, ext))])
-    return matrix, rhs
-
-
-class _RecoverySystem:
-    """The system of :func:`_recovery_operator`, solved block by block.
+    from the marginal, with b = the target's svec. The marginal is grouped
+    with the acted subsystem last and the target ordered as the map produces
+    it (the acted output, then the extension, after the other subsystems).
 
     Write J in 2 x 2 blocks J_op[d, c] = J[(d, o), (c, p)] over the outputs
     o, p < n. The fit rows say R(J_op) = T_op, the (o, p) block of the target,
@@ -646,20 +597,29 @@ class _RecoverySystem:
     w against [R; sqrt(n) I], i.e. (R'R + n I) w = R' mean + svec(I). The
     singular values of M are thus those of R, each n^2 - 1 times, and
     sqrt(s^2 + n) of the mean, so ranks are cut at 1e-12 times the largest of
-    these, as the dense SVD of M cuts them, and the null space of M is
+    these, as a dense SVD of M cuts them, and the null space of M is
     {N (x) H : R(N) = 0, H traceless Hermitian}.
 
     Exposes the min-norm least-squares solution ``x_ls`` (``choi_ls`` as a
     matrix), an orthonormal svec basis ``null_basis`` (columns) of the null
-    space, of dimension (n^2 - 1) dim null(R), and :meth:`residual`.
+    space, of dimension (n^2 - 1) dim null(R), :meth:`residual`, and the
+    dense rows of M for the reference builders (:meth:`rows`).
     """
 
     def __init__(self, marginal: DensityOperator, target: DensityOperator, act_on: str):
         self.ext = check_marginal(marginal, target, act_on)
         n = 2 ** (1 + len(self.ext))
         rest = marginal.dim // 2
-        self._rho = _grouped_marginal(marginal, act_on).reshape(rest, 2, rest, 2)
-        self._target = _ordered_target(marginal, target, act_on, self.ext)
+
+        def ordered(state, labels):
+            """The state's matrix with its subsystems permuted into ``labels``."""
+            perm = [state.labels.index(lab) for lab in labels]
+            tensor_form = np.transpose(state.as_tensor(), perm + [len(perm) + q for q in perm])
+            return tensor_form.reshape(state.dim, state.dim)
+
+        order = [lab for lab in marginal.labels if lab != act_on] + [act_on]
+        self._rho = ordered(marginal, order).reshape(rest, 2, rest, 2)
+        self._target = ordered(target, order + list(self.ext))
         fit = svec(np.einsum("adbc,kdc->kab", self._rho, _svec_basis(2))).T
         u, s, vt = np.linalg.svd(fit, full_matrices=fit.shape[0] < 4)
         rank = int((s > 1e-12 * math.sqrt(s[0] ** 2 + n)).sum())
@@ -682,13 +642,30 @@ class _RecoverySystem:
         self.choi_ls = _hermitian_part(choi.transpose(2, 0, 3, 1).reshape(2 * n, 2 * n))
         self.x_ls = svec(self.choi_ls)
 
+    def _image(self, choi: np.ndarray) -> np.ndarray:
+        """The extension the Choi matrix J (or each of a stack) makes of the marginal."""
+        n = choi.shape[-1] // 2
+        blocks = choi.reshape(choi.shape[:-2] + (2, n, 2, n))
+        image = np.einsum("adbc,...docp->...aobp", self._rho, blocks)
+        return image.reshape(choi.shape[:-2] + self._target.shape)
+
     def gap(self, choi: np.ndarray) -> np.ndarray:
         """b - M svec(J) for the Choi matrix J, applied block by block."""
-        n = choi.shape[0] // 2
-        blocks = choi.reshape(2, n, 2, n)
-        image = np.einsum("adbc,docp->aobp", self._rho, blocks).reshape(self._target.shape)
-        return np.concatenate([svec(np.eye(2) - np.trace(blocks, axis1=1, axis2=3)),
-                               svec(self._target - image)])
+        return np.concatenate([svec(np.eye(2) - _output_trace(choi)),
+                               svec(self._target - self._image(choi))])
+
+    def rows(self):
+        """The rows of M as (Hermitian matrix, rhs) pairs; column k of M is
+        the map applied to the k-th svec basis matrix.
+
+        Returns ``(choi_dim, tp_rows, fit_rows)``.
+        """
+        dim = len(self.choi_ls)
+        basis = _svec_basis(dim)
+        matrix = np.hstack([svec(_output_trace(basis)), svec(self._image(basis))]).T
+        rhs = np.concatenate([svec(np.eye(2)), svec(self._target)])
+        rows = list(zip(unsvec(matrix, dim), rhs.tolist()))
+        return dim, rows[:4], rows[4:]
 
     def residual(self, choi: np.ndarray) -> float:
         """max |M svec(J) - b|."""
@@ -712,17 +689,6 @@ class _RecoverySystem:
         return bool(np.linalg.eigvalsh(self.choi_ls)[0] < -delta)
 
 
-def _recovery_rows(marginal: DensityOperator, target: DensityOperator, act_on: str):
-    """The rows of :func:`_recovery_operator` as (Hermitian matrix, rhs) pairs.
-
-    Returns ``(choi_dim, tp_rows, fit_rows)``.
-    """
-    matrix, rhs = _recovery_operator(marginal, target, act_on)
-    choi_dim = math.isqrt(matrix.shape[1])
-    rows = list(zip(unsvec(matrix, choi_dim), rhs.tolist()))
-    return choi_dim, rows[:4], rows[4:]
-
-
 def build_cptp_feasibility(
     marginal: DensityOperator, target: DensityOperator, act_on: str = "C"
 ) -> ConicProblem:
@@ -732,7 +698,7 @@ def build_cptp_feasibility(
     reconstruction constraint; zero objective. FEASIBLE means a channel
     exists whose extension of the marginal reproduces the target.
     """
-    choi_dim, tp_rows, fit_rows = _recovery_rows(marginal, target, act_on)
+    choi_dim, tp_rows, fit_rows = _RecoverySystem(marginal, target, act_on).rows()
     rows = [Constraint(blocks={"J": m}, scalars={}, rhs=r) for m, r in tp_rows + fit_rows]
     return ConicProblem(psd_blocks=(("J", choi_dim),), equalities=tuple(rows))
 
@@ -745,7 +711,7 @@ def build_overhead_problem(
     Two PSD Choi blocks normalized to c1 and c2 times the identity, with the
     difference reconstructing the target.
     """
-    choi_dim, tp_rows, fit_rows = _recovery_rows(marginal, target, act_on)
+    choi_dim, tp_rows, fit_rows = _RecoverySystem(marginal, target, act_on).rows()
     rows = [
         Constraint(blocks={name: m}, scalars={scalar: -r}, rhs=0.0)
         for name, scalar in (("J1", "c1"), ("J2", "c2"))
@@ -826,7 +792,7 @@ def _petz_choi(target: DensityOperator, act_on: str, ext: tuple[str, ...]) -> np
     choi = choi + np.kron(kernel.T, np.eye(out_dim) / out_dim)
     # Tr_out J is I up to rounding that K amplifies when rho_C is nearly
     # singular; the congruence by its inverse square root restores exact TP
-    w, v = np.linalg.eigh(np.trace(choi.reshape(2, out_dim, 2, out_dim), axis1=1, axis2=3))
+    w, v = np.linalg.eigh(_output_trace(choi))
     fix = np.kron((v / np.sqrt(w)) @ v.conj().T, np.eye(out_dim))
     return fix @ choi @ fix
 

@@ -13,6 +13,7 @@ the conic module.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,11 +41,6 @@ class ConditionalBlock:
     @property
     def weight(self) -> float:
         return float(np.trace(self.matrix).real)
-
-    def as_operator(self) -> DensityOperator:
-        return DensityOperator(
-            register=QubitRegister(self.kept_labels), matrix=self.matrix, normalized=False
-        )
 
 
 @dataclass(frozen=True)
@@ -210,8 +206,11 @@ def kernel_inclusion_check(
 
     For each outcome j of measuring the conditioning subsystem (the last
     label unless given), tests Ker(first-side block) <= Ker(second-side
-    block): leaks up to ``tol`` count as contained.
+    block): leaks up to ``tol`` count as contained; ``tol`` must be finite
+    and nonnegative.
     """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     if rho.register.n_qubits != 3:
         raise LabelError(
             f"kernel inclusion needs a state on exactly three labels, got {rho.labels}"

@@ -349,6 +349,11 @@ def state_to_dict(rho: DensityOperator) -> dict:
 
 def state_from_dict(payload: dict) -> DensityOperator:
     """Inverse of :func:`state_to_dict`."""
+    if not isinstance(payload, dict):
+        raise ValueError(f"a state payload must be a JSON object, got {type(payload).__name__}")
+    missing = [key for key in ("labels", "re", "im") if key not in payload]
+    if missing:
+        raise ValueError(f"state payload lacks {', '.join(map(repr, missing))}")
     labels = tuple(payload["labels"])
     dims = tuple(payload.get("dims", (2,) * len(labels)))
     if any(d != 2 for d in dims):

@@ -104,6 +104,23 @@ class TestInclusionCommand:
         code, _, err = run(capsys, "inclusion", str(path))
         assert code == 1
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"labels": ["A", "B", "C", "D"]}', "lacks 're', 'im'"),
+        ("[1, 2]", "must be a JSON object, got list"),
+    ])
+    def test_malformed_state_is_a_usage_error(self, capsys, tmp_path, text, message):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "inclusion", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    def test_bad_tol_is_a_usage_error(self, capsys, tol):
+        code, out, err = run(capsys, "inclusion", "--builtin", "W4", "--tol", tol)
+        assert code == 1 and out == ""
+        assert err.startswith("error: tol must be finite and nonnegative")
+
 
 class TestCertifyCommand:
     def test_ghz4_cptp_infeasible(self, capsys):

@@ -245,6 +245,26 @@ class TestReferenceSolve:
         )
         assert conic.solve(prob).status == conic.MAX_ITER
 
+    def test_phase_one_stops_at_the_first_strictly_feasible_point(self, monkeypatch):
+        # t < 0 already proves X(y) > 0, so phase 1 hands over to phase 2
+        # there instead of driving t down to its bound -1
+        phases = []
+        interior_point = conic._interior_point
+
+        def recording(*args, **kwargs):
+            result = interior_point(*args, **kwargs)
+            phases.append((result[0], result[1][-1], result[4]))
+            return result
+
+        monkeypatch.setattr(conic, "_interior_point", recording)
+        w4 = reg.make_state("W4")
+        solution = conic.solve(conic.build_overhead_problem(reg.partial_trace(w4, "D"), w4))
+        assert solution.status == conic.OPTIMAL
+        (status, t, steps), (_, _, phase_two_steps) = phases
+        assert status == conic.FEASIBLE and -1.0 < t < 0.0
+        assert solution.iterations == steps + phase_two_steps
+        assert len(solution.debug["residual_history"]) == solution.iterations
+
     def test_w4_cptp_takes_few_newton_steps(self):
         w4 = reg.make_state("W4")
         solution = conic.solve(conic.build_cptp_feasibility(reg.partial_trace(w4, "D"), w4))
@@ -695,7 +715,7 @@ INCONSISTENT_CASES = inconsistent_cases()
 
 def assert_matches_admm(marginal, target, result):
     """The reduced overhead solve against the reference solve of the full,
-    unreduced overhead SDP, which takes its rows from the dense operator."""
+    unreduced overhead SDP, which takes the recovery system's dense rows."""
     solution = result.solution
     reference = conic.solve(conic.build_overhead_problem(marginal, target))
     total = result.c1 + result.c2
@@ -718,12 +738,27 @@ class TestLeastSquaresFrontEnd:
         else:
             marginal, act_on = reg.make_state("GHZ3"), "C"
             target = reg.tensor(marginal, labeled("DE", projector(ket("00"))))
-        matrix, rhs = conic._recovery_operator(marginal, target, act_on)
         reference, reference_rhs = recovery_system_by_choi_application(marginal, target, act_on)
         choi_dim = 4 * target.dim // marginal.dim
-        assert matrix.shape == reference.shape == (4 + target.dim ** 2, choi_dim ** 2)
-        assert np.abs(matrix - reference).max() <= 1e-15
-        assert np.abs(rhs - reference_rhs).max() <= 1e-15
+        assert reference.shape == (4 + target.dim ** 2, choi_dim ** 2)
+
+        def assert_rows(rows, rhs, expected, expected_rhs):
+            assert np.abs(np.array([conic.svec(m) for m in rows]) - expected).max() <= 1e-15
+            assert np.abs(np.array(rhs) - expected_rhs).max() <= 1e-15
+
+        cptp = conic.build_cptp_feasibility(marginal, target, act_on)
+        assert cptp.psd_blocks == (("J", choi_dim),)
+        assert_rows([con.blocks["J"] for con in cptp.equalities],
+                    [con.rhs for con in cptp.equalities], reference, reference_rhs)
+        # overhead: Tr_out J_i = c_i I for both blocks, then J1 - J2 fits the target
+        rows = conic.build_overhead_problem(marginal, target, act_on).equalities
+        for block, scalar, tp_rows in (("J1", "c1", rows[:4]), ("J2", "c2", rows[4:8])):
+            assert all(con.rhs == 0.0 for con in tp_rows)
+            assert_rows([con.blocks[block] for con in tp_rows],
+                        [-con.scalars[scalar] for con in tp_rows], reference[:4], reference_rhs[:4])
+        assert all(np.array_equal(con.blocks["J2"], -con.blocks["J1"]) for con in rows[8:])
+        assert_rows([con.blocks["J1"] for con in rows[8:]], [con.rhs for con in rows[8:]],
+                    reference[4:], reference_rhs[4:])
 
     @pytest.mark.parametrize("name", list(INCONSISTENT_CASES))
     def test_verdict_matches_the_sdp(self, name):
@@ -888,11 +923,11 @@ class TestInteriorPointOverhead:
     def test_no_general_solver_on_any_route(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("sampling_overhead reached the general SDP route "
-                                 "or the dense recovery operator")
+                                 "or the dense rows of the recovery system")
 
-        for name in ("solve", "build_overhead_problem", "_recovery_operator",
-                     "_affine_solutions"):
+        for name in ("solve", "build_overhead_problem", "_affine_solutions"):
             monkeypatch.setattr(conic, name, refuse)
+        monkeypatch.setattr(conic._RecoverySystem, "rows", refuse)
         ghz3 = reg.make_state("GHZ3")
         cases = [(reg.partial_trace(target, "D"), target) for target in (
             reg.make_state("W4"), reg.make_state("GHZ4"), reg.make_state("RHO2"), HPTP_STATES[1][0]
@@ -934,7 +969,8 @@ class TestInteriorPointOverhead:
 
 
 # ---------------------------------------------------------------------------
-# Block solve of the recovery system against the dense SVD
+# Block solve of the recovery system against the dense SVD of M rebuilt
+# through markov.apply_choi
 # ---------------------------------------------------------------------------
 
 
@@ -967,7 +1003,7 @@ class TestBlockSolve:
     def test_matches_the_dense_least_squares(self, name):
         marginal, target, act_on = BLOCK_SOLVE_CASES[name]
         system = conic._RecoverySystem(marginal, target, act_on)
-        matrix, rhs = conic._recovery_operator(marginal, target, act_on)
+        matrix, rhs = recovery_system_by_choi_application(marginal, target, act_on)
         dense_x_ls, _ = conic._affine_solutions(matrix, rhs)
         assert np.abs(system.x_ls - dense_x_ls).max() <= 1e-12
         dense_residual = np.abs(rhs - matrix @ dense_x_ls).max()

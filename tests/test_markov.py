@@ -155,6 +155,14 @@ class TestKernelInclusion:
         with pytest.raises(LabelError, match="three"):
             markov.kernel_inclusion_check(reg.make_state("W4"))
 
+    @pytest.mark.parametrize("tol", [-1.0, -1e-300, float("nan"), float("inf")])
+    def test_rejects_a_negative_or_non_finite_tol(self, w4_marginal, tol):
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+            markov.kernel_inclusion_check(w4_marginal, tol=tol)
+
+    def test_zero_tol_is_allowed(self, w4_marginal):
+        assert markov.kernel_inclusion_check(w4_marginal, tol=0.0).tol == 0.0
+
     def test_report_serializes(self, w4_marginal):
         payload = markov.kernel_inclusion_check(w4_marginal).to_dict()
         assert payload["verdict"] is True

@@ -243,6 +243,18 @@ class TestJsonFormat:
         assert payload["normalized"] is True
         assert len(payload["re"]) == 16 and len(payload["im"]) == 16
 
+    @pytest.mark.parametrize("payload", [[1, 2], "W4", None])
+    def test_rejects_a_payload_that_is_not_an_object(self, payload):
+        with pytest.raises(ValueError, match="must be a JSON object"):
+            reg.state_from_dict(payload)
+
+    @pytest.mark.parametrize("key", ["labels", "re", "im"])
+    def test_rejects_a_missing_field(self, key):
+        payload = reg.state_to_dict(reg.make_state("W4"))
+        del payload[key]
+        with pytest.raises(ValueError, match=f"lacks '{key}'"):
+            reg.state_from_dict(payload)
+
     def test_rejects_qudit_dims(self):
         with pytest.raises(ValueError, match="qubit"):
             reg.state_from_dict(
