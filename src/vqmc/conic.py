@@ -1,4 +1,4 @@
-"""Recovery certification for the three questions, on one interior-point engine.
+"""Recovery certification for the three questions.
 
 Both recovery questions share one real linear system M svec(J) = b (trace
 preservation plus the entrywise reconstruction of the target from the
@@ -23,11 +23,20 @@ Hermitian-preserving recovery exists, and it returns INFEASIBLE
 residual as ``primal_residual`` and ``debug == {"method": "least_squares"}``.
 Otherwise it runs the Petz check, unless the least-squares J rules it out,
 and returns nu = 0 when the Petz map recovers the state
-(``debug == {"method": "petz"}``). The remaining states go to
-:func:`_reduced_overhead`, the overhead SDP reduced to the solutions
-J = J_ls + N y of the same system (N its null space from the same SVD),
+(``debug == {"method": "petz"}``). A residual above ``eps_feasible`` is
+then undetermined (MAX_ITER, 0 iterations, ``{"method": "least_squares"}``).
+The overhead SDP, reduced to the solutions J = J_ls + N y of the same
+system (N its null space from the same SVD), decides the remaining states.
+When N is trivial (a unique extension: W4, every virtual-only and
+HPTP-extension state) :func:`_dual_overhead` solves its dual, a concave
+function of a Bloch vector, by Newton steps inside the ball and on the
+sphere, and certifies c1 + c2 from both sides
+(``debug == {"method": "dual", "lower_bound": ..., "gap": ...}``). States
+with a null space that the Petz map does not recover, and unique
+extensions whose bounds do not meet, go to :func:`_reduced_overhead`,
 whose final dual point certifies a lower bound on c1 + c2
 (``debug == {"method": "interior_point", "lower_bound": ..., "gap": ...}``).
+No state of the benchmark corpora reaches it; only the tests do.
 
 One engine solves every SDP: :func:`_interior_point`, a dense primal-dual
 path-following method (HKM direction, Mehrotra predictor-corrector) for
@@ -208,7 +217,7 @@ class ConicSolution:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Verdict tolerances and the Newton-step cap.
+    """Verdict tolerances and the interior point's Newton-step cap.
 
     ``eps_feasible < eps_infeasible`` is required: residuals between the two
     are reported as undetermined (MAX_ITER) rather than forced into a
@@ -856,13 +865,11 @@ def _reduced_overhead(system: _RecoverySystem, config: SolverConfig | None = Non
                                     <Z2, N_j> = 0.
 
     J2 = s I with s = max(0, -lambda_min(J)) + 1 is strictly feasible, and
-    :func:`_interior_point` solves from there. OPTIMAL when it converges
-    and J solves the system within ``eps_feasible``; MAX_ITER when it does
-    not, or when the least-squares residual lies in the dead zone above
-    ``eps_feasible``.
-    The final dual point, repaired to exact feasibility, certifies
-    ``debug["lower_bound"]`` <= every feasible c1 + c2; ``debug["gap"]`` is
-    c1 + c2 minus it.
+    :func:`_interior_point` solves from there: OPTIMAL when it converges,
+    MAX_ITER when it does not. The caller has ruled out a least-squares
+    residual above ``eps_feasible`` (the dead zone). The final dual point,
+    repaired to exact feasibility, certifies ``debug["lower_bound"]`` <=
+    every feasible c1 + c2; ``debug["gap"]`` is c1 + c2 minus it.
 
     Returns ``(solution, J, (Z1, Z2))`` with the repaired dual point.
     """
@@ -893,8 +900,6 @@ def _reduced_overhead(system: _RecoverySystem, config: SolverConfig | None = Non
     j2, j1 = slacks
     c2 = float(np.trace(j2).real) / 2
     residual = system.residual(j1 - j2)
-    if residual > cfg.eps_feasible:
-        status = MAX_ITER  # the dead zone: J misses the state by more than eps_feasible
     solution = _solution(
         status, 1.0 + 2.0 * c2, {"J1": j1, "J2": j2}, {"c1": 1.0 + c2, "c2": c2}, residual,
         {"method": "interior_point", "lower_bound": lower_bound,
@@ -902,6 +907,253 @@ def _reduced_overhead(system: _RecoverySystem, config: SolverConfig | None = Non
         iterations,
     )
     return solution, choi, certified
+
+
+# ---------------------------------------------------------------------------
+# Overhead of a unique extension from its three-parameter dual
+# ---------------------------------------------------------------------------
+
+# Pauli matrices: Y = r . sigma runs over the traceless Hermitian 2 x 2 matrices.
+_PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+_PAULI.setflags(write=False)
+# Newton steps of the dual route before it leaves the state to _reduced_overhead.
+_DUAL_STEPS = 40
+# Loss of f, relative to max(1, f), that a line search forgives as rounding.
+_ROUNDING = 1e-14
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two square matrices, without its generic overhead."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1)
+
+
+def _bloch(r: np.ndarray) -> np.ndarray:
+    """r . sigma."""
+    return (r @ _PAULI.reshape(3, 4)).reshape(2, 2)
+
+
+def _bloch_roots(r: np.ndarray):
+    """(I + r . sigma)^(1/2) and its inverse for |r| < 1, from the
+    eigenvalues 1 -+ |r| of I + r . sigma."""
+    norm = math.sqrt(float(r @ r))
+    axis = _bloch(r / norm) if norm else np.zeros((2, 2))
+    low, high = math.sqrt(1.0 - norm), math.sqrt(1.0 + norm)
+
+    def with_roots(a, b):  # the matrix with eigenvalue a along -r and b along r
+        return ((b + a) * np.eye(2) + (b - a) * axis) / 2
+
+    return with_roots(low, high), with_roots(1.0 / low, 1.0 / high)
+
+
+def _weighted_gram(e: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Re sum_ij weights_ij e[k, i, j] conj(e[l, i, j]) for weights >= 0."""
+    scaled = (e * np.sqrt(weights)).reshape(len(e), -1)
+    return (scaled @ scaled.conj().T).real
+
+
+def _ball_point(choi: np.ndarray, r: np.ndarray):
+    """The dual function at |r| < 1, with its gradient and Hessian in r.
+
+    f = Tr[(W^1/2 J W^1/2)_-] for W = (I + r . sigma) (x) I. With V the
+    eigenvectors and w the eigenvalues of W^1/2 J W^1/2, M = W^-1/2 V has
+    M' W M = I and J = M diag(w) M', and a change dW turns w into the
+    eigenvalues of diag(w) (I + E), E = M' dW M. So f gains <dW, Lambda>
+    with Lambda = M diag(w_-) M' = W^-1/2 (W^1/2 J W^1/2)_- W^-1/2, and
+    loses sum over w_i < 0 <= w_j of |w_i| w_j / (|w_i| + w_j) |E_ij|^2.
+
+    Returns ``(f, gradient, hessian, (Z1, Z2), Lambda)``: the dual point
+    Z2 = W^1/2 P_- W^1/2, Z1 = W - Z2 attains f, and the split Lambda has
+    Lambda >= 0, J + Lambda = W^-1/2 (W^1/2 J W^1/2)_+ W^-1/2 >= 0.
+    """
+    n = len(choi) // 2
+    root, inverse_root = (_kron(k, np.eye(n)) for k in _bloch_roots(r))
+    w, v = np.linalg.eigh(root @ choi @ root)
+    neg = w < 0
+    m = inverse_root @ v
+    m_neg = m[:, neg]
+    split = (m_neg * -w[neg]) @ m_neg.conj().T
+    gradient = (_PAULI.reshape(3, 4) @ _output_trace(split).T.reshape(4)).real
+    moved = (_PAULI @ m[:, ~neg].reshape(2, -1)).reshape(3, 2 * n, -1)  # (sigma_k (x) I) M
+    weights = -w[neg][:, None] * w[~neg] / (w[~neg] - w[neg][:, None])
+    hessian = -2.0 * _weighted_gram(m_neg.conj().T @ moved, weights)
+    sides = root @ v
+    duals = tuple(sides[:, side] @ sides[:, side].conj().T for side in (~neg, neg))
+    return -float(w[neg].sum()), gradient, hessian, duals, split
+
+
+def _sphere_point(choi: np.ndarray, r: np.ndarray):
+    """The dual function at |r| = 1, with its gradient and Hessian in r in R^3.
+
+    There I + r . sigma = 2 psi psi' and f = 2 Tr (J_psi)_- with
+    J_psi = (psi' (x) I) J (psi (x) I) = sum_cd (psi psi')_dc J_cd, which is
+    affine in r. Z2 = 2 psi psi' (x) P_- and Z1 = 2 psi psi' (x) P_+ attain
+    f, with P_-+ the spectral projectors of J_psi. Complementary slackness
+    fixes the split in the (psi, psi_perp) (x) I basis: A = (J_psi)_-,
+    B = -P_- J_psi,perp and D = L1 + (L2 - L1)_+, the least trace with
+    D >= L1 = B' A^+ B (J2 >= 0) and
+    D >= L2 = J_perp,psi (J_psi)_+^+ J_psi,perp - J_perp,perp (J + J2 >= 0).
+
+    Returns ``(f, gradient, hessian, (Z1, Z2), split)`` like :func:`_ball_point`.
+    """
+    n = len(choi) // 2
+    _, u = np.linalg.eigh(np.eye(2) + _bloch(r))
+    frame = _kron(u[:, ::-1], np.eye(n))  # psi (x) I, then psi_perp (x) I
+    blocks = (frame.conj().T @ choi @ frame).reshape(2, n, 2, n)
+    own, cross, perp = blocks[0, :, 0], blocks[0, :, 1], blocks[1, :, 1]
+    mu, v = np.linalg.eigh(own)
+    neg, pos = mu < 0, mu > 0
+    # J_psi moves by sum_k dr_k J_k, J_k = sum_cd (sigma_k / 2)_dc J_cd
+    moves = v.conj().T @ np.einsum("kdc,codp->kop", _PAULI / 2, choi.reshape(2, n, 2, n)) @ v
+    gradient = -2.0 * np.einsum("kii->k", moves[:, neg][:, :, neg]).real
+    hessian = 4.0 * _weighted_gram(moves[:, neg][:, :, ~neg], 1.0 / (mu[~neg] - mu[neg][:, None]))
+    psi = np.outer(u[:, 1], u[:, 1].conj())
+    duals = tuple(2.0 * _kron(psi, v[:, side] @ v[:, side].conj().T) for side in (~neg, neg))
+
+    x, y = v[:, neg].conj().T @ cross, v[:, pos].conj().T @ cross
+    l1 = x.conj().T @ (x / -mu[neg][:, None])
+    l2 = y.conj().T @ (y / mu[pos][:, None]) - perp
+    dw, dv = np.linalg.eigh(_hermitian_part(l2 - l1))
+    corner = np.block([
+        [(v[:, neg] * -mu[neg]) @ v[:, neg].conj().T, -v[:, neg] @ x],
+        [-x.conj().T @ v[:, neg].conj().T, l1 + (dv * np.maximum(dw, 0.0)) @ dv.conj().T],
+    ])
+    return -2.0 * float(mu[neg].sum()), gradient, hessian, duals, frame @ corner @ frame.conj().T
+
+
+def _ascent_direction(gradient: np.ndarray, hessian: np.ndarray) -> np.ndarray:
+    """The Newton step of a concave model, or the gradient where the Hessian
+    is not negative definite."""
+    w, u = np.linalg.eigh(hessian)
+    if w[-1] < 0:
+        return u @ ((u.T @ gradient) / -w)
+    return gradient
+
+
+def _line_search(evaluate, move, value: float, slope: float):
+    """Backtracking from the full step: the first t = 1, 1/2, ... whose point
+    gains 1e-4 t slope over ``value``, up to rounding. Returns ``(r, point)``,
+    or ``(None, None)`` when the step is too short to matter."""
+    t = 1.0
+    while t > 1e-10:
+        r = move(t)
+        point = evaluate(r)
+        if point[0] >= value + 1e-4 * t * slope - _ROUNDING * max(1.0, value):
+            return r, point
+        t /= 2
+    return None, None
+
+
+def _dual_overhead(system: _RecoverySystem):
+    """Minimal c1 + c2 for a unique solution J from the dual over the Bloch ball.
+
+    With a trivial null space the dual of :func:`_reduced_overhead` forces
+    Z1 + Z2 = W = (I + Y) (x) I with Y = r . sigma, |r| <= 1, and for fixed
+    W its maximum is f = Tr[(W^1/2 J W^1/2)_-], a concave function of r:
+    c1 + c2 = 1 + max f. Safeguarded Newton steps climb f from r = 0
+    (:func:`_ball_point`). When a full step would leave the ball, the sphere
+    is tried once by a Newton ascent over psi (:func:`_sphere_point`), and
+    the ball steps go on at most ``_STEP_FRACTION`` of the way to the sphere.
+
+    Every point certifies both bounds: 1 - <Z2, J> from below, and from
+    above 1 + Tr J2, where J2 is the point's split made TP compatible,
+    J2 + (c I - Tr_out J2) (x) I / n with c = lambda_max(Tr_out J2), then
+    shifted by the multiple of I that makes J2 and J + J2 PSD by their
+    computed eigenvalues. OPTIMAL, with the best of each and
+    ``debug == {"method": "dual", "lower_bound": ..., "gap": ...}``, once
+    they meet within ``_GAP_TOL`` max(1, c1 + c2).
+
+    Returns ``(solution, J, (Z1, Z2))`` like :func:`_reduced_overhead`, or
+    None when the bounds have not met after ``_DUAL_STEPS`` Newton steps.
+    """
+    choi = system.choi_ls
+    dim = len(choi)
+    n = dim // 2
+    best = {"lower": -math.inf, "upper": math.inf}
+    steps = 0
+
+    def closed(point) -> bool:
+        duals, split = point[3:]
+        lower = 1.0 - _inner(duals[1], choi)
+        if lower > best["lower"]:
+            best.update(lower=lower, duals=duals)
+        traced = _output_trace(split)
+        j2 = _hermitian_part(split + _kron(
+            np.linalg.eigvalsh(traced)[-1] * np.eye(2) - traced, np.eye(n) / n))
+        shift = max(0.0, -np.linalg.eigvalsh(j2)[0], -np.linalg.eigvalsh(choi + j2)[0])
+        j2 = j2 + shift * np.eye(dim)
+        upper = 1.0 + float(np.trace(j2).real)
+        if upper < best["upper"]:
+            best.update(upper=upper, j2=j2)
+        return best["upper"] - best["lower"] <= _GAP_TOL * max(1.0, best["upper"])
+
+    def sphere_ascent(r) -> bool:
+        nonlocal steps
+        point = _sphere_point(choi, r)
+        while not closed(point):
+            if steps >= _DUAL_STEPS:
+                return False
+            gradient, hessian = point[1:3]
+            tangent = np.linalg.svd(r[None])[2][1:].T
+            slope = tangent.T @ gradient
+            if np.linalg.norm(slope) <= _ROUNDING * max(1.0, point[0]):
+                return False  # the best psi, but the optimum lies inside the ball
+            d = tangent @ _ascent_direction(
+                slope, tangent.T @ hessian @ tangent - (r @ gradient) * np.eye(2))
+            length = float(np.linalg.norm(d))
+            if not length:
+                return False
+            d = d * min(1.0, math.pi / 2 / length)
+            length = min(length, math.pi / 2)
+
+            def along(t, r=r, d=d, length=length):
+                q = math.cos(t * length) * r + math.sin(t * length) * d / length
+                return q / np.linalg.norm(q)
+
+            r, point = _line_search(lambda q: _sphere_point(choi, q), along,
+                                    point[0], float(slope @ (tangent.T @ d)))
+            if point is None:
+                return False
+            steps += 1
+        return True
+
+    r = np.zeros(3)
+    point = _ball_point(choi, r)
+    sphere_tried = False
+    while not closed(point):
+        if steps >= _DUAL_STEPS or r @ r > 1.0 - 1e-12:
+            return None  # out of steps, or too close to the sphere to evaluate f
+        gradient, hessian = point[1:3]
+        step = _ascent_direction(gradient, hessian)
+        # the largest t with |r + t step| <= 1
+        a, b, c = step @ step, r @ step, r @ r - 1.0
+        if not a:
+            return None  # a kink: the gradient vanishes short of the optimum
+        reach = (-b + math.sqrt(b * b - a * c)) / a
+        if reach <= 1.0 and not sphere_tried:
+            sphere_tried = True
+            if sphere_ascent((r + step) / np.linalg.norm(r + step)):
+                break
+        scale = min(1.0, _STEP_FRACTION * reach)
+
+        def along(t, r=r, step=step, scale=scale):
+            return r + t * scale * step
+
+        r, point = _line_search(lambda q: _ball_point(choi, q), along, point[0],
+                                scale * float(gradient @ step))
+        if point is None:
+            return None
+        steps += 1
+
+    j2 = best["j2"]
+    c2 = float(np.trace(j2).real) / 2
+    j1 = choi + j2
+    solution = _solution(
+        OPTIMAL, best["upper"], {"J1": j1, "J2": j2}, {"c1": 1.0 + c2, "c2": c2},
+        system.residual(j1 - j2),
+        {"method": "dual", "lower_bound": best["lower"], "gap": best["upper"] - best["lower"]},
+        steps,
+    )
+    return solution, choi, best["duals"]
 
 
 def sampling_overhead(
@@ -924,15 +1176,22 @@ def sampling_overhead(
     The Petz check is skipped when it cannot succeed: the Petz Choi matrix is
     PSD, and a residual of at most ``eps_feasible`` in each entry of the
     d x d target bounds its |M svec(J) - b|_2 by d eps_feasible, which
-    :meth:`_RecoverySystem.excludes_psd` may rule out. Otherwise the
-    interior-point solve of the reduced problem (:func:`_reduced_overhead`)
-    decides, on the same block solve.
+    :meth:`_RecoverySystem.excludes_psd` may rule out.
+
+    A least-squares residual above ``eps_feasible`` is then undetermined:
+    MAX_ITER with nu = +inf at 0 iterations, since every solution has that
+    residual. Otherwise the reduced overhead SDP decides, on the same block
+    solve: its three-parameter dual (:func:`_dual_overhead`) when the
+    solution J is unique, with certified bounds on both sides, and the
+    interior-point solve (:func:`_reduced_overhead`, capped at
+    ``config.max_iterations`` Newton steps) for a null space, or when the
+    dual's bounds do not meet.
     """
     cfg = config or SolverConfig()
     system = _RecoverySystem(marginal, target, act_on)
-    residual = system.residual(system.choi_ls)
-    if residual > cfg.eps_infeasible:
-        solution = _solution(INFEASIBLE, None, {"J": system.choi_ls}, {}, residual,
+    ls_residual = system.residual(system.choi_ls)
+    if ls_residual > cfg.eps_infeasible:
+        solution = _solution(INFEASIBLE, None, {"J": system.choi_ls}, {}, ls_residual,
                              {"method": "least_squares"})
         return OverheadResult(status=INFEASIBLE, nu=math.inf, solution=solution)
 
@@ -946,7 +1205,14 @@ def sampling_overhead(
             return OverheadResult(status=OPTIMAL, nu=0.0, c1=1.0, c2=0.0, choi_difference=choi,
                                   certificate_residual=residual, solution=solution)
 
-    solution, choi_matrix, _ = _reduced_overhead(system, cfg)
+    if ls_residual > cfg.eps_feasible:
+        # the dead zone: every solution J = J_ls + N y has the residual of J_ls
+        solution = _solution(MAX_ITER, None, {"J": system.choi_ls}, {}, ls_residual,
+                             {"method": "least_squares"})
+        return OverheadResult(status=MAX_ITER, nu=math.inf, solution=solution)
+
+    answer = None if system.null_basis.shape[1] else _dual_overhead(system)
+    solution, choi_matrix, _ = answer or _reduced_overhead(system, cfg)
     if solution.status != OPTIMAL:
         return OverheadResult(status=solution.status, nu=math.inf, solution=solution)
 

@@ -207,10 +207,13 @@ def kernel_inclusion_check(
     For each outcome j of measuring the conditioning subsystem (the last
     label unless given), tests Ker(first-side block) <= Ker(second-side
     block): leaks up to ``tol`` count as contained; ``tol`` must be finite
-    and nonnegative.
+    and nonnegative, and so must ``rel_tol``, the kernels' relative
+    eigenvalue cut-off.
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and nonnegative, got {tol}")
+    if not (math.isfinite(rel_tol) and rel_tol >= 0):
+        raise ValueError(f"rel_tol must be finite and nonnegative, got {rel_tol}")
     if rho.register.n_qubits != 3:
         raise LabelError(
             f"kernel inclusion needs a state on exactly three labels, got {rho.labels}"

@@ -354,6 +354,10 @@ def state_from_dict(payload: dict) -> DensityOperator:
     missing = [key for key in ("labels", "re", "im") if key not in payload]
     if missing:
         raise ValueError(f"state payload lacks {', '.join(map(repr, missing))}")
+    for key in ("labels", "dims"):
+        if not isinstance(payload.get(key, []), (list, tuple)):
+            raise ValueError(f"state payload {key!r} must be a list, "
+                             f"got {type(payload[key]).__name__}")
     labels = tuple(payload["labels"])
     dims = tuple(payload.get("dims", (2,) * len(labels)))
     if any(d != 2 for d in dims):

@@ -107,6 +107,9 @@ class TestInclusionCommand:
     @pytest.mark.parametrize("text, message", [
         ('{"labels": ["A", "B", "C", "D"]}', "lacks 're', 'im'"),
         ("[1, 2]", "must be a JSON object, got list"),
+        ('{"labels": 5, "re": [[1.0]], "im": [[0.0]]}', "'labels' must be a list, got int"),
+        ('{"labels": ["A"], "dims": 2, "re": [[1.0]], "im": [[0.0]]}',
+         "'dims' must be a list, got int"),
     ])
     def test_malformed_state_is_a_usage_error(self, capsys, tmp_path, text, message):
         path = tmp_path / "bad.json"
@@ -150,7 +153,7 @@ class TestCertifyCommand:
         results = report["results"]
         debug = results["solver_debug"]
         assert set(debug) == {"method", "lower_bound", "gap"}
-        assert debug["method"] == "interior_point"
+        assert debug["method"] == "dual"
         assert debug["lower_bound"] <= results["c1_plus_c2"]
         assert debug["gap"] == pytest.approx(results["c1_plus_c2"] - debug["lower_bound"])
 
@@ -308,6 +311,14 @@ class TestImportFloor:
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         env = dict(os.environ, PYTHONPATH=src)
         code = "import vqmc.cli, sys; assert 'scipy' not in sys.modules, 'scipy was imported'"
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
+        # nor does answering W4's overhead, which takes the dual route
+        code = ("import math, sys, vqmc.cli\n"
+                "from vqmc import conic, registers as reg\n"
+                "w4 = reg.make_state('W4')\n"
+                "result = conic.sampling_overhead(reg.partial_trace(w4, 'D'), w4)\n"
+                "assert abs(result.nu - math.log2(3)) < 1e-12, result.nu\n"
+                "assert 'scipy' not in sys.modules, 'scipy was imported'")
         subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 

@@ -714,13 +714,14 @@ INCONSISTENT_CASES = inconsistent_cases()
 
 
 def assert_matches_admm(marginal, target, result):
-    """The reduced overhead solve against the reference solve of the full,
-    unreduced overhead SDP, which takes the recovery system's dense rows."""
+    """The overhead of a unique extension, answered by the dual route, against
+    the reference solve of the full, unreduced overhead SDP, which takes the
+    recovery system's dense rows."""
     solution = result.solution
     reference = conic.solve(conic.build_overhead_problem(marginal, target))
     total = result.c1 + result.c2
     assert result.status == reference.status == conic.OPTIMAL
-    assert solution.debug["method"] == "interior_point" and solution.iterations > 0
+    assert solution.debug["method"] == "dual" and solution.iterations > 0
     assert total == pytest.approx(reference.objective_value, abs=1e-8)
     lower = solution.debug["lower_bound"]
     assert lower <= total <= lower + 1e-5 * total
@@ -874,7 +875,7 @@ class TestInteriorPointOverhead:
         marginal = reg.partial_trace(state, "D")
         result = conic.sampling_overhead(marginal, state)
         assert result.status == conic.OPTIMAL
-        assert result.solution.debug["method"] == "interior_point"
+        assert result.solution.debug["method"] == "dual"
         lower, upper = overhead_bracket(extension)
         total = result.c1 + result.c2
         assert lower - 1e-9 <= total <= upper + 1e-9
@@ -912,10 +913,14 @@ class TestInteriorPointOverhead:
         marginal, state = virtual_only_state(np.random.default_rng([seed, 3]))
         assert_matches_admm(marginal, state, conic.sampling_overhead(marginal, state))
 
-    def test_iteration_cap_gives_max_iter(self):
+    def test_iteration_cap_gives_max_iter(self, monkeypatch):
         w4 = reg.make_state("W4")
-        result = conic.sampling_overhead(reg.partial_trace(w4, "D"), w4,
-                                         SolverConfig(max_iterations=2))
+        marginal, config = reg.partial_trace(w4, "D"), SolverConfig(max_iterations=2)
+        _, solution, _, _ = reduced_solve(marginal, w4, config)
+        assert solution.status == conic.MAX_ITER and solution.iterations == 2
+        # the same cap where sampling_overhead falls back to the interior point
+        monkeypatch.setattr(conic, "_dual_overhead", lambda system: None)
+        result = conic.sampling_overhead(marginal, w4, config)
         assert result.status == conic.MAX_ITER and math.isinf(result.nu)
         assert result.solution.iterations == 2
         assert result.c1 is None and result.choi_difference is None
@@ -954,7 +959,12 @@ class TestInteriorPointOverhead:
         # shrinking, long before the 50 000-step cap
         monkeypatch.setattr(conic, "_GAP_TOL", 0.0)
         w4 = reg.make_state("W4")
-        result = conic.sampling_overhead(reg.partial_trace(w4, "D"), w4)
+        marginal = reg.partial_trace(w4, "D")
+        _, solution, _, _ = reduced_solve(marginal, w4)
+        assert solution.status == conic.MAX_ITER and solution.iterations < 100
+        # the same stall where sampling_overhead falls back to the interior point
+        monkeypatch.setattr(conic, "_dual_overhead", lambda system: None)
+        result = conic.sampling_overhead(marginal, w4)
         assert result.status == conic.MAX_ITER and math.isinf(result.nu)
         assert result.solution.iterations < 100
 
@@ -965,6 +975,147 @@ class TestInteriorPointOverhead:
         result = conic.sampling_overhead(reg.partial_trace(near, "D"), near)
         assert 1e-7 < result.solution.primal_residual <= 1e-5
         assert result.status == conic.MAX_ITER and math.isinf(result.nu)
+        # decided by the least-squares residual alone, which no solve can change
+        assert result.solution.debug == {"method": "least_squares"}
+        assert result.solution.iterations == 0
+
+
+# ---------------------------------------------------------------------------
+# Dual route: the overhead of a unique extension over the Bloch ball
+# ---------------------------------------------------------------------------
+
+
+def dual_cases():
+    """Unique extensions, labeled by where the dual optimum lies."""
+    w4 = reg.make_state("W4")
+    cases = {"W4 (sphere)": (reg.partial_trace(w4, "D"), w4)}
+    for seed, (state, _) in HPTP_STATES.items():
+        where = "ball" if seed == 5 else "sphere"
+        cases[f"hptp #{seed} ({where})"] = (reg.partial_trace(state, "D"), state)
+    for seed in (0, 1, 12):
+        where = "sphere" if seed == 12 else "ball"
+        cases[f"virtual-only #{seed} ({where})"] = virtual_only_state(
+            np.random.default_rng([seed, 3]))
+    return cases
+
+
+DUAL_CASES = dual_cases()
+
+
+def dual_solve(marginal, target):
+    system = conic._RecoverySystem(marginal, target, "C")
+    assert system.null_basis.shape[1] == 0
+    return (system, *conic._dual_overhead(system))
+
+
+def on_sphere(duals):
+    """True when Z1 + Z2 = (I + Y) (x) I has |r| = 1 for Y = r . sigma."""
+    n = len(duals[0]) // 2
+    total = np.trace((duals[0] + duals[1]).reshape(2, n, 2, n), axis1=1, axis2=3) / n
+    return bool(np.linalg.eigvalsh(total)[0] <= 1e-9)
+
+
+def assert_certified_primal(marginal, target, solution, choi):
+    """Check the split apart from the solver: J2 and J + J2 PSD, J2 trace
+    preserving up to the scale c2, and J1 - J2 rebuilding the state through
+    markov.apply_choi, so that c1 + c2 bounds the overhead from above."""
+    j1, j2 = solution.block_values["J1"], solution.block_values["J2"]
+    n = len(j2) // 2
+    assert np.linalg.eigvalsh(j2)[0] >= -1e-12
+    assert np.linalg.eigvalsh(choi + j2)[0] >= -1e-12
+    assert np.abs(j1 - (choi + j2)).max() <= 1e-15
+    c2 = np.trace(j2).real / 2
+    traced = np.trace(j2.reshape(2, n, 2, n), axis1=1, axis2=3)
+    assert np.abs(traced - c2 * np.eye(2)).max() <= 1e-12
+    assert solution.scalar_values["c2"] == pytest.approx(c2, abs=1e-12)
+    assert solution.scalar_values["c1"] == pytest.approx(1.0 + c2, abs=1e-12)
+    assert solution.objective_value == pytest.approx(1.0 + 2.0 * c2, abs=1e-12)
+    ext = [lab for lab in target.labels if lab not in marginal.labels]
+    rebuilt = markov.apply_choi(marginal, choi_stand_in(j1 - j2, "C", ext), "C")
+    assert np.abs(rebuilt.matrix - target.matrix).max() <= 1e-10
+
+
+class TestDualRoute:
+    @pytest.mark.parametrize("name", list(DUAL_CASES))
+    def test_both_bounds_are_certified(self, name):
+        marginal, target = DUAL_CASES[name]
+        _, solution, choi, duals = dual_solve(marginal, target)
+        assert solution.status == conic.OPTIMAL
+        assert solution.debug["method"] == "dual"
+        assert on_sphere(duals) == name.endswith("(sphere)")
+        assert_certified_dual(marginal, target, solution, choi, duals)
+        assert_certified_primal(marginal, target, solution, choi)
+        total = solution.objective_value
+        assert solution.debug["gap"] == pytest.approx(total - solution.debug["lower_bound"])
+        assert 0.0 <= solution.debug["gap"] <= 1e-10 * max(1.0, total)
+
+    @pytest.mark.parametrize("name", list(DUAL_CASES))
+    def test_agrees_with_the_interior_point(self, name):
+        marginal, target = DUAL_CASES[name]
+        _, dual, _, _ = dual_solve(marginal, target)
+        _, interior, _, _ = reduced_solve(marginal, target)
+        assert dual.status == interior.status == conic.OPTIMAL
+        assert dual.objective_value == pytest.approx(interior.objective_value, abs=1e-9)
+        # each route's certified lower bound holds for the other's value
+        assert dual.debug["lower_bound"] <= interior.objective_value
+        assert interior.debug["lower_bound"] <= dual.objective_value
+
+    def test_two_qubit_extension(self):
+        # (id (x) R)(sigma) with R(X) = X (x) tau_DE + 0.02 L(X) (x) Z_D (x) I_E
+        rng = np.random.default_rng(5)
+        identity_choi = np.outer(np.eye(2).ravel(), np.eye(2).ravel())
+        while True:
+            sigma = labeled("ABC", (np.eye(8) / 8 + random_density(rng, 8)) / 2)
+            choi_l = random_hermitian(rng, 4)
+            choi_l /= np.abs(np.linalg.eigvalsh(choi_l)).max()
+            choi_r = (np.kron(identity_choi, (np.eye(4) / 4 + random_density(rng, 4)) / 2)
+                      + 0.02 * np.kron(choi_l, np.diag([1.0, 1.0, -1.0, -1.0])))
+            image = markov.apply_choi(sigma, choi_stand_in(choi_r, "C", ("D", "E")), "C").matrix
+            if np.linalg.eigvalsh(image)[0] > 1e-6:
+                break
+        target = labeled("ABCDE", image)
+        _, solution, choi, (z1, z2) = dual_solve(sigma, target)
+        assert choi.shape == (16, 16)
+        assert solution.status == conic.OPTIMAL and solution.debug["method"] == "dual"
+        assert solution.objective_value > 1.0
+        assert_certified_primal(sigma, target, solution, choi)
+        # the dual point, checked as assert_certified_dual does on one-qubit extensions
+        assert min(np.linalg.eigvalsh(z1)[0], np.linalg.eigvalsh(z2)[0]) >= -1e-12
+        excess = (z1 + z2 - np.eye(16)).reshape(2, 8, 2, 8)
+        y = np.trace(excess, axis1=1, axis2=3) / 8
+        assert np.abs(excess - np.einsum("cd,op->codp", y, np.eye(8))).max() <= 1e-10
+        assert abs(np.trace(y)) <= 1e-10
+        lower = solution.debug["lower_bound"]
+        assert lower == pytest.approx(1.0 - np.vdot(z2, choi).real, abs=1e-12)
+        assert 0.0 <= solution.objective_value - lower <= 1e-10 * solution.objective_value
+
+    def test_w4_costs_log2_3(self):
+        w4 = reg.make_state("W4")
+        result = conic.sampling_overhead(reg.partial_trace(w4, "D"), w4)
+        assert result.status == conic.OPTIMAL
+        assert result.solution.debug["method"] == "dual"
+        assert result.c1 == pytest.approx(2.0, abs=1e-12)
+        assert result.c2 == pytest.approx(1.0, abs=1e-12)
+        assert result.nu == pytest.approx(math.log2(3.0), abs=1e-12)
+        assert result.certificate_residual <= 1e-12
+
+    def test_unique_extensions_never_reach_the_interior_point(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a unique extension reached the interior-point engine")
+
+        monkeypatch.setattr(conic, "_interior_point", refuse)
+        for name in ("W4 (sphere)", "hptp #0 (sphere)", "virtual-only #0 (ball)"):
+            marginal, target = DUAL_CASES[name]
+            result = conic.sampling_overhead(marginal, target)
+            assert result.status == conic.OPTIMAL
+            assert result.solution.debug["method"] == "dual"
+
+    def test_unmet_bounds_fall_back_to_the_interior_point(self, monkeypatch):
+        monkeypatch.setattr(conic, "_DUAL_STEPS", 0)
+        marginal, target = DUAL_CASES["virtual-only #0 (ball)"]
+        assert conic._dual_overhead(conic._RecoverySystem(marginal, target, "C")) is None
+        result = conic.sampling_overhead(marginal, target)
+        assert result.status == conic.OPTIMAL
         assert result.solution.debug["method"] == "interior_point"
 
 

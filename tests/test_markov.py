@@ -160,6 +160,16 @@ class TestKernelInclusion:
         with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
             markov.kernel_inclusion_check(w4_marginal, tol=tol)
 
+    @pytest.mark.parametrize("rel_tol", [-1.0, -1e-12, float("nan"), float("inf")])
+    def test_rejects_a_negative_or_non_finite_rel_tol(self, rel_tol):
+        # on MIX(0) a negative cut-off would empty every kernel (dims (0, 0)
+        # instead of (3, 3)) and pass vacuously
+        mix0 = reg.partial_trace(reg.make_state("MIX", p=0.0), "D")
+        report = markov.kernel_inclusion_check(mix0)
+        assert [(o.ker_dim_ac, o.ker_dim_bc) for o in report.per_outcome] == [(3, 3), (3, 3)]
+        with pytest.raises(ValueError, match="rel_tol must be finite and nonnegative"):
+            markov.kernel_inclusion_check(mix0, rel_tol=rel_tol)
+
     def test_zero_tol_is_allowed(self, w4_marginal):
         assert markov.kernel_inclusion_check(w4_marginal, tol=0.0).tol == 0.0
 
