@@ -646,7 +646,10 @@ class _RecoverySystem:
         diagonal = coordinates[range(n), range(n)].real
         mean = diagonal.mean(axis=0)
         mean_block = np.linalg.solve(fit.T @ fit + n * np.eye(4), fit.T @ mean + svec(np.eye(2)))
-        blocks[range(n), range(n)] = (diagonal - mean) @ pinv.T + mean_block
+        # in exact arithmetic the deviations sum to zero; re-centre them so that
+        # rounding, amplified by 1 / sigma_min(R), cannot break Tr_out J = I
+        deviations = (diagonal - mean) @ pinv.T
+        blocks[range(n), range(n)] = deviations - deviations.mean(axis=0) + mean_block
         choi = unsvec(blocks.real, 2) + 1j * unsvec(blocks.imag, 2)
         self.choi_ls = _hermitian_part(choi.transpose(2, 0, 3, 1).reshape(2 * n, 2 * n))
         self.x_ls = svec(self.choi_ls)

@@ -45,13 +45,24 @@ def hermitian_part(matrix: np.ndarray, atol: float = HERMITIAN_ATOL) -> np.ndarr
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
-    asym = float(np.abs(matrix - matrix.conj().T).max()) if matrix.size else 0.0
-    if not np.isfinite(asym):
+    return _hermitian_stack(matrix, atol)
+
+
+def _hermitian_stack(stack: np.ndarray, atol: float = HERMITIAN_ATOL) -> np.ndarray:
+    """:func:`hermitian_part` of each square matrix of a stack (..., n, n);
+    the first matrix that fails a check raises."""
+    adjoint = np.swapaxes(stack, -1, -2).conj()
+    if stack.shape[-1]:
+        gap = np.abs(stack - adjoint)
         # any NaN or inf entry makes its own asymmetry NaN or inf
-        raise ValueError("matrix has non-finite entries (NaN or inf)")
-    if asym > atol:
-        raise NonHermitianError(f"matrix is not Hermitian: max asymmetry {asym:.6e} > {atol:.1e}")
-    return (matrix + matrix.conj().T) / 2
+        if not gap.max() <= atol:
+            asym = gap.reshape(-1, stack.shape[-1] ** 2).max(axis=1)
+            worst = float(asym[np.argmax(~(asym <= atol))])
+            if not np.isfinite(worst):
+                raise ValueError("matrix has non-finite entries (NaN or inf)")
+            raise NonHermitianError(
+                f"matrix is not Hermitian: max asymmetry {worst:.6e} > {atol:.1e}")
+    return (stack + adjoint) / 2
 
 
 def _readonly(array: np.ndarray) -> np.ndarray:
@@ -80,10 +91,7 @@ class SubspaceBasis:
         if k > ambient:
             raise ValueError(f"{k} columns cannot be independent in dimension {ambient}")
         if k:
-            gram = vectors.conj().T @ vectors
-            err = float(np.abs(gram - np.eye(k)).max())
-            if err > ORTHONORMAL_ATOL:
-                raise ValueError(f"basis columns are not orthonormal: Gram deviation {err:.6e}")
+            _check_orthonormal(vectors)
         object.__setattr__(self, "vectors", _readonly(vectors))
 
     @property
@@ -123,6 +131,25 @@ def eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
+def _eigen_split(hermitian: np.ndarray, rel_tol: float):
+    """The kernel rule, once for a Hermitian matrix or a stack (..., n, n) of them.
+
+    Returns ``(w, v, threshold)`` from one eigendecomposition: eigenvalues
+    ascending, eigenvectors as columns, and the cut-off
+    ``rel_tol * max(lambda_max, tiny)`` of each matrix; eigenvalues at or
+    below it belong to the kernel, the rest to the support. The first matrix
+    with an eigenvalue below ``PSD_EIG_FLOOR`` raises
+    ``NotPositiveSemidefiniteError``.
+    """
+    w, v = np.linalg.eigh(hermitian)
+    if not w.shape[-1]:
+        return w, v, rel_tol * np.full(w.shape[:-1], _TINY)
+    smallest = np.ravel(w[..., 0])
+    if smallest.min() < PSD_EIG_FLOOR:
+        raise NotPositiveSemidefiniteError(smallest[np.argmax(smallest < PSD_EIG_FLOOR)])
+    return w, v, rel_tol * np.maximum(w[..., -1], _TINY)
+
+
 def kernel_basis(matrix: np.ndarray, rel_tol: float = DEFAULT_REL_TOL) -> SubspaceBasis:
     """Orthonormal basis of the kernel of a PSD matrix.
 
@@ -130,11 +157,41 @@ def kernel_basis(matrix: np.ndarray, rel_tol: float = DEFAULT_REL_TOL) -> Subspa
     assigned to the kernel. Raises ``NotPositiveSemidefiniteError`` if the
     smallest eigenvalue is below ``PSD_EIG_FLOOR``.
     """
-    w, v = eigh(matrix)
-    if w.size and w[0] < PSD_EIG_FLOOR:
-        raise NotPositiveSemidefiniteError(w[0])
-    threshold = rel_tol * max(float(w[-1]) if w.size else 0.0, _TINY)
-    return SubspaceBasis(vectors=v[:, w <= threshold], tol=threshold)
+    w, v, threshold = _eigen_split(hermitian_part(matrix), rel_tol)
+    return SubspaceBasis(vectors=v[:, w <= threshold], tol=float(threshold))
+
+
+def kernel_frames(stack: np.ndarray, rel_tol: float = DEFAULT_REL_TOL) -> list[np.ndarray]:
+    """Kernels of a stack (m, n, n) of PSD matrices, by :func:`kernel_basis`'s rule.
+
+    One eigendecomposition serves the whole stack. Returns one read-only
+    (n, dim) array of orthonormal kernel columns per matrix, the columns
+    :func:`kernel_basis` would give, checked as :class:`SubspaceBasis`
+    checks them.
+    """
+    w, v, threshold = _eigen_split(_hermitian_stack(np.asarray(stack, dtype=complex)), rel_tol)
+    kernel = w <= threshold[:, None]
+    _check_orthonormal(v, kernel)
+    frames = [frame[:, keep] for frame, keep in zip(v, kernel)]
+    for frame in frames:
+        frame.setflags(write=False)
+    return frames
+
+
+def _check_orthonormal(vectors: np.ndarray, columns: np.ndarray | None = None) -> None:
+    """Raise unless the columns of ``vectors`` (..., n, k) are orthonormal
+    within ``ORTHONORMAL_ATOL``; a boolean ``columns`` (..., k) restricts the
+    check to the columns it marks. The first frame that fails raises."""
+    gram = np.swapaxes(vectors, -1, -2).conj() @ vectors - np.eye(vectors.shape[-1])
+    if np.abs(gram).max() <= ORTHONORMAL_ATOL:
+        return  # every selection of columns passes too
+    if columns is not None:
+        gram = np.where(columns[..., :, None] & columns[..., None, :], gram, 0.0)
+    err = np.abs(gram).reshape(-1, gram.shape[-1] ** 2).max(axis=1)
+    bad = err > ORTHONORMAL_ATOL
+    if bad.any():
+        raise ValueError(f"basis columns are not orthonormal: Gram deviation "
+                         f"{float(err[bad.argmax()]):.6e}")
 
 
 def support_basis(matrix: np.ndarray, rel_tol: float = DEFAULT_REL_TOL) -> SubspaceBasis:
@@ -143,11 +200,8 @@ def support_basis(matrix: np.ndarray, rel_tol: float = DEFAULT_REL_TOL) -> Subsp
     The support is the orthogonal complement of the kernel; together the two
     frames resolve the identity.
     """
-    w, v = eigh(matrix)
-    if w.size and w[0] < PSD_EIG_FLOOR:
-        raise NotPositiveSemidefiniteError(w[0])
-    threshold = rel_tol * max(float(w[-1]) if w.size else 0.0, _TINY)
-    return SubspaceBasis(vectors=v[:, w > threshold], tol=threshold)
+    w, v, threshold = _eigen_split(hermitian_part(matrix), rel_tol)
+    return SubspaceBasis(vectors=v[:, w > threshold], tol=float(threshold))
 
 
 def subspace_contained(
@@ -171,7 +225,12 @@ def subspace_contained(
 
 def column_leaks(inner: SubspaceBasis, outer: SubspaceBasis) -> np.ndarray:
     """Norm of ``(I - P_outer) a`` for each column ``a`` of ``inner``."""
-    residual = inner.vectors - outer.projector() @ inner.vectors
+    return frame_leaks(inner.vectors, outer.vectors)
+
+
+def frame_leaks(inner: np.ndarray, outer: np.ndarray) -> np.ndarray:
+    """:func:`column_leaks` on raw orthonormal frames (n, k_inner) and (n, k_outer)."""
+    residual = inner - (outer @ outer.conj().T) @ inner
     return np.sqrt((np.abs(residual) ** 2).sum(axis=0))
 
 

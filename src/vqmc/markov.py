@@ -8,7 +8,11 @@ convention in which conditional kernels are two-qubit subspaces.
 
 The kernel-inclusion check is a NECESSARY condition only: a passing verdict
 never certifies that a recovery channel exists. Certification is the job of
-the conic module.
+the conic module. It builds its four conditional blocks (both sides, both
+outcomes) as one stack, in one pass over the state's tensor, and takes all
+four kernels from one eigendecomposition of that stack; the blocks are the
+matrices :func:`conditional_block` returns, and the kernels follow
+:func:`linops.kernel_basis`'s rule.
 """
 
 from __future__ import annotations
@@ -146,6 +150,37 @@ class ConsistencyReport:
         }
 
 
+def _conditional_stack(rho: DensityOperator, measure: str, trace_sets) -> np.ndarray:
+    """The blocks of :func:`conditional_block` for both outcomes and several
+    traced-out label sets of equal size, from one pass over the state's tensor.
+
+    Returns shape (2, len(trace_sets), d, d): entry [j, s] projects
+    ``measure`` onto |j>, traces out ``trace_sets[s]`` and keeps
+    |j><j| at the measured slot.
+    """
+    n = rho.register.n_qubits
+    axis = rho.register.axis(measure)
+    remaining = [lab for lab in rho.labels if lab != measure]
+    outcomes = np.arange(2)
+    # <j| rho |j> for j = 0, 1 on the remaining labels: (2, kets..., bras...)
+    index = [slice(None)] * (2 * n)
+    index[axis] = index[axis + n] = outcomes
+    diagonal = rho.as_tensor()[tuple(index)]
+    k = n - len(trace_sets[0])
+    blocks = np.zeros((2, len(trace_sets)) + (2,) * (2 * k), dtype=complex)
+    for s, trace_out in enumerate(trace_sets):
+        reduced = diagonal
+        for pos in sorted((remaining.index(lab) for lab in trace_out), reverse=True):
+            half = (reduced.ndim - 1) // 2
+            reduced = reduced.trace(axis1=1 + pos, axis2=1 + pos + half)
+        # the measured slot's place among the kept labels, in label order
+        slot = sum(1 for lab in rho.labels[:axis] if lab not in trace_out)
+        embed = [outcomes, s] + [slice(None)] * (2 * k)
+        embed[2 + slot] = embed[2 + k + slot] = outcomes
+        blocks[tuple(embed)] = reduced
+    return blocks.reshape(2, len(trace_sets), 2 ** k, 2 ** k)
+
+
 def conditional_block(
     rho: DensityOperator, measure: str, outcome: int, trace_out
 ) -> ConditionalBlock:
@@ -160,39 +195,13 @@ def conditional_block(
         raise LabelError(f"measured label {measure!r} cannot also be traced out")
     if outcome not in (0, 1):
         raise ValueError(f"outcome must be 0 or 1 for a qubit measurement, got {outcome}")
-    axis = rho.register.axis(measure)
+    rho.register.axis(measure)
     for lab in trace_out:
         rho.register.axis(lab)
-
-    n = rho.register.n_qubits
-    tensor_form = rho.as_tensor()
-    tensor_form = np.take(tensor_form, outcome, axis=axis)
-    tensor_form = np.take(tensor_form, outcome, axis=axis + n - 1)
-
-    remaining = [lab for lab in rho.labels if lab != measure]
-    for lab in sorted(trace_out, key=remaining.index, reverse=True):
-        pos = remaining.index(lab)
-        half = tensor_form.ndim // 2
-        tensor_form = np.trace(tensor_form, axis1=pos, axis2=pos + half)
-        remaining.pop(pos)
-
-    kept = [lab for lab in rho.labels if lab not in trace_out]
-    reduced_dim = 2 ** len(remaining)
-    reduced = tensor_form.reshape(reduced_dim, reduced_dim)
-
-    # re-embed |outcome><outcome| at the measured slot, in original label order
-    collapsed = np.zeros((2, 2), dtype=complex)
-    collapsed[outcome, outcome] = 1.0
-    combined = np.kron(reduced, collapsed)  # order: remaining..., measure
-    order_now = remaining + [measure]
-    perm = [order_now.index(lab) for lab in kept]
-    k = len(kept)
-    tensor_out = combined.reshape((2,) * (2 * k))
-    tensor_out = np.transpose(tensor_out, perm + [k + q for q in perm])
     return ConditionalBlock(
         outcome=outcome,
-        kept_labels=tuple(kept),
-        matrix=tensor_out.reshape(2 ** k, 2 ** k),
+        kept_labels=tuple(lab for lab in rho.labels if lab not in trace_out),
+        matrix=_conditional_stack(rho, measure, [trace_out])[outcome, 0],
     )
 
 
@@ -209,6 +218,13 @@ def kernel_inclusion_check(
     block): leaks up to ``tol`` count as contained; ``tol`` must be finite
     and nonnegative, and so must ``rel_tol``, the kernels' relative
     eigenvalue cut-off.
+
+    The four conditional blocks (first side and second side, outcomes 0
+    and 1) are built as one stack, and one eigendecomposition of the stack
+    gives all four kernels by :func:`linops.kernel_basis`'s rule
+    (:func:`linops.kernel_frames`). A block below the PSD floor raises, the
+    first in the order first-side 0, second-side 0, first-side 1,
+    second-side 1.
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and nonnegative, got {tol}")
@@ -222,24 +238,24 @@ def kernel_inclusion_check(
     rho.register.axis(cond)
     first, second = [lab for lab in rho.labels if lab != cond]
 
+    stack = _conditional_stack(rho, cond, [{second}, {first}])
+    kernels = linops.kernel_frames(stack.reshape(4, 4, 4), rel_tol=rel_tol)
     entries = []
     for outcome in (0, 1):
-        block_ac = conditional_block(rho, cond, outcome, {second})
-        block_bc = conditional_block(rho, cond, outcome, {first})
-        ker_ac = linops.kernel_basis(block_ac.matrix, rel_tol=rel_tol)
-        ker_bc = linops.kernel_basis(block_bc.matrix, rel_tol=rel_tol)
-        contained, leak = linops.subspace_contained(ker_ac, ker_bc, tol=tol)
-        vector = vector_leak = None
-        if not contained:
-            leaks = linops.column_leaks(ker_ac, ker_bc)
-            k = int(np.argmax(leaks > tol))
-            vector, vector_leak = ker_ac.vectors[:, k], float(leaks[k])
+        ker_ac, ker_bc = kernels[2 * outcome], kernels[2 * outcome + 1]
+        leak, vector, vector_leak = 0.0, None, None
+        if ker_ac.shape[1]:
+            leaks = linops.frame_leaks(ker_ac, ker_bc)
+            leak = float(leaks.max())
+            if leak > tol:
+                k = int(np.argmax(leaks > tol))
+                vector, vector_leak = ker_ac[:, k], float(leaks[k])
         entries.append(
             OutcomeInclusion(
                 outcome=outcome,
-                ker_dim_ac=ker_ac.dim,
-                ker_dim_bc=ker_bc.dim,
-                contained=contained,
+                ker_dim_ac=ker_ac.shape[1],
+                ker_dim_bc=ker_bc.shape[1],
+                contained=leak <= tol,
                 max_leak=leak,
                 leaking_vector=vector,
                 leaking_vector_leak=vector_leak,

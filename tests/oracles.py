@@ -124,11 +124,23 @@ def inclusion_oracle(state16: np.ndarray, leak_tol: float = LEAK_TOL) -> dict:
     whole pipeline (marginal, blocks, kernels, leaks) runs on the
     independent loop/SVD implementations.
     """
-    marginal = partial_trace_loop(state16, 4, [3])
+    return three_qubit_inclusion_oracle(partial_trace_loop(state16, 4, [3]), 2, leak_tol)
+
+
+def three_qubit_inclusion_oracle(
+    rho8: np.ndarray, measure: int, leak_tol: float = LEAK_TOL
+) -> dict:
+    """Kernel inclusion of a three-qubit operator conditioned on qubit ``measure``.
+
+    With ``first`` < ``second`` the two other qubits, the kernel of the block
+    that keeps ``first`` is tested against the kernel of the block that
+    keeps ``second``, for each outcome.
+    """
+    first, second = [q for q in range(3) if q != measure]
     outcomes = []
     for j in (0, 1):
-        ac = conditional_block_loop(marginal, 3, 2, j, [1])
-        bc = conditional_block_loop(marginal, 3, 2, j, [0])
+        ac = conditional_block_loop(rho8, 3, measure, j, [second])
+        bc = conditional_block_loop(rho8, 3, measure, j, [first])
         ker_ac = kernel_columns(ac)
         ker_bc = kernel_columns(bc)
         leak = leak_against(ker_ac, ker_bc)

@@ -1193,3 +1193,55 @@ class TestBlockSolve:
         assert conic.cptp_certify(marginal, w4)[0].status == conic.INFEASIBLE
         assert conic.sampling_overhead(marginal, w4).status == conic.OPTIMAL
         assert len(calls) == 1
+
+
+def ill_conditioned_markov(seed, weight, admixture=1e-11):
+    """A classical-C Markov state with ``weight`` on C = |1>, mixed with
+    ``admixture`` of a random full-rank state. sigma_min(R) is ~1e-13, so the
+    block solve amplifies rounding ~1e13-fold; a channel still recovers the
+    state within eps_feasible."""
+    rng = np.random.default_rng(seed)
+    out = np.zeros((16, 16), dtype=complex)
+    for c, share in ((0, 1.0 - weight), (1, weight)):
+        rho_ab = random_density(rng, 4, rank=int(rng.integers(1, 5)))
+        out += share * np.kron(rho_ab, np.kron(projector(ket(str(c))), random_density(rng, 2)))
+    return labeled("ABCD", (1.0 - admixture) * out + admixture * random_density(rng, 16))
+
+
+ILL_CONDITIONED = {
+    f"weight {weight:g}, seed {seed}": ill_conditioned_markov(seed, weight)
+    for weight in (1e-12, 1e-10)
+    for seed in range(40)
+}
+
+
+class TestIllConditionedBlockSolve:
+    def test_trace_preservation_survives_rounding(self):
+        for name, state in ILL_CONDITIONED.items():
+            system = conic._RecoverySystem(reg.partial_trace(state, "D"), state, "C")
+            drift = np.abs(conic._output_trace(system.choi_ls) - np.eye(2)).max()
+            assert drift <= 1e-12, f"{name}: Tr_out J_ls is off the identity by {drift:.3e}"
+
+    def test_residual_matches_a_dense_least_squares(self):
+        compared = 0
+        for name, state in ILL_CONDITIONED.items():
+            system = conic._RecoverySystem(reg.partial_trace(state, "D"), state, "C")
+            _, tp_rows, fit_rows = system.rows()
+            matrix = conic.svec(np.array([row for row, _ in tp_rows + fit_rows]))
+            rhs = np.array([value for _, value in tp_rows + fit_rows])
+            try:
+                dense_x, *_ = np.linalg.lstsq(matrix, rhs, rcond=None)
+            except np.linalg.LinAlgError:
+                continue  # LAPACK's SVD does not converge on a few of these
+            compared += 1
+            dense = np.abs(matrix @ dense_x - rhs).max()
+            block = system.residual(system.choi_ls)
+            assert block <= 4 * dense + 1e-12, f"{name}: block {block:.3e}, dense {dense:.3e}"
+        assert compared >= 60
+
+    def test_a_recoverable_state_never_gets_infinite_overhead(self):
+        for name, state in ILL_CONDITIONED.items():
+            marginal = reg.partial_trace(state, "D")
+            assert conic.cptp_certify(marginal, state)[0].status == conic.FEASIBLE, name
+            result = conic.sampling_overhead(marginal, state)
+            assert result.status != conic.INFEASIBLE, f"{name}: a channel recovers, yet nu = +inf"

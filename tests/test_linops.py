@@ -85,6 +85,35 @@ class TestKernelBasis:
         assert linops.kernel_basis(matrix, rel_tol=rel_tol).dim == 3
 
 
+class TestKernelFrames:
+    def test_match_kernel_basis_bit_for_bit(self, rng):
+        stack = np.stack([random_psd(rng, 4, rank) for rank in (1, 2, 3, 4)]
+                         + [np.zeros((4, 4)), 0.25 * projector(ket("00") + ket("10"))])
+        for rel_tol in (0.0, 1e-10, 1e-4):
+            frames = linops.kernel_frames(stack, rel_tol=rel_tol)
+            for matrix, frame in zip(stack, frames):
+                basis = linops.kernel_basis(matrix, rel_tol=rel_tol)
+                assert frame.shape == basis.vectors.shape
+                assert frame.tobytes() == basis.vectors.tobytes()
+                assert not frame.flags.writeable
+
+    def test_first_failing_matrix_raises(self):
+        stack = np.stack([np.eye(2), np.diag([1.0, -0.5]), np.diag([1.0, -0.25])])
+        with pytest.raises(linops.NotPositiveSemidefiniteError) as err:
+            linops.kernel_frames(stack)
+        assert err.value.eigenvalue == pytest.approx(-0.5)
+        stack[1] = [[0.0, 1e-3], [0.0, 0.0]]
+        stack[2] = [[0.0, 1.0], [0.0, 0.0]]
+        with pytest.raises(linops.NonHermitianError, match="asymmetry 1.000000e-03"):
+            linops.kernel_frames(stack)
+        stack[2, 0, 1] = np.nan
+        with pytest.raises(linops.NonHermitianError, match="asymmetry 1.000000e-03"):
+            linops.kernel_frames(stack)
+        stack[1, 0, 1] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            linops.kernel_frames(stack)
+
+
 class TestSubspaceContained:
     def test_nested_basis_states(self):
         a = linops.SubspaceBasis(ket("01")[:, None])

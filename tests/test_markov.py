@@ -180,6 +180,115 @@ class TestKernelInclusion:
         assert {entry["j"] for entry in payload["outcomes"]} == {0, 1}
 
 
+def three_label_cases():
+    """Builtin marginals and seeded three-qubit states, some on labels other than A-D."""
+    cases = {name: reg.partial_trace(reg.make_state(name), "D") for name in ("W4", "GHZ4", "RHO2")}
+    for p in (0.0, 0.05, 0.5, 1.0):
+        cases[f"MIX({p})"] = reg.partial_trace(reg.make_state("MIX", p=p), "D")
+    rng = np.random.default_rng(2101)
+    for k, rank in enumerate((None, None, 1, 2, 4)):
+        matrix = random_density(rng, 8, rank)
+        for labels in (("A", "B", "C"), ("Q", "X", "P")):
+            name = f"rank {rank or 8} #{k} on {''.join(labels)}"
+            cases[name] = DensityOperator(register=QubitRegister(labels), matrix=matrix)
+    return cases
+
+
+THREE_LABEL_CASES = three_label_cases()
+
+
+def signed_block_operator(negatives):
+    """Hermitian operator on (A, B, C) whose conditional blocks on C are
+    diag(1 + x, -x) (x) |j><j|, with x = ``negatives`` of "AC0", "BC0",
+    "AC1" or "BC1" and 0 otherwise."""
+    matrix = np.zeros((8, 8), dtype=complex)
+    for j in (0, 1):
+        a, b = (np.diag([1.0 + x, -x]) for x in (negatives.get(f"{side}{j}", 0.0)
+                                                 for side in ("AC", "BC")))
+        matrix += np.kron(np.kron(a, b), projector(ket(str(j))))
+    return DensityOperator(register=QubitRegister(("A", "B", "C")), matrix=matrix,
+                           normalized=False, check_psd=False)
+
+
+class TestStackedInclusion:
+    @pytest.mark.parametrize("name", list(THREE_LABEL_CASES))
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_matches_the_loop_oracle(self, name, position):
+        state = THREE_LABEL_CASES[name]
+        cond = state.labels[position]
+        report = markov.kernel_inclusion_check(state, condition_on=cond)
+        oracle = oracles.three_qubit_inclusion_oracle(np.asarray(state.matrix), position)
+        assert report.verdict == oracle["verdict"]
+        for entry, ref in zip(report.per_outcome, oracle["outcomes"]):
+            assert (entry.ker_dim_ac, entry.ker_dim_bc) == (ref["ker_dim_ac"], ref["ker_dim_bc"])
+            assert entry.contained == ref["contained"]
+            assert abs(entry.max_leak - ref["max_leak"]) <= 1e-10
+
+    @pytest.mark.parametrize("name", list(THREE_LABEL_CASES))
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_stacked_blocks_are_the_conditional_blocks(self, name, position):
+        state = THREE_LABEL_CASES[name]
+        cond = state.labels[position]
+        first, second = [lab for lab in state.labels if lab != cond]
+        stack = markov._conditional_stack(state, cond, [{second}, {first}])
+        for j in (0, 1):
+            for side, traced in enumerate((second, first)):
+                block = markov.conditional_block(state, cond, j, {traced}).matrix
+                assert stack[j, side].tobytes() == block.tobytes()
+                ref = oracles.conditional_block_loop(
+                    np.asarray(state.matrix), 3, position, j, [state.labels.index(traced)]
+                )
+                assert np.abs(block - ref).max() <= 1e-14
+
+    @pytest.mark.parametrize(
+        "negatives, expected",
+        [
+            ({"AC0": 0.5, "BC1": 0.25}, -0.5),
+            ({"BC0": 0.3, "AC1": 0.2}, -0.3),
+            ({"AC1": 0.2, "BC1": 0.7}, -0.2),
+            ({"BC1": 0.4}, -0.4),
+            # above the PSD floor: the first block passes, the second raises
+            ({"AC0": 1e-9, "BC0": 0.6}, -0.6),
+        ],
+    )
+    def test_non_psd_operator_raises_for_the_first_failing_block(self, negatives, expected):
+        state = signed_block_operator(negatives)
+        with pytest.raises(linops.NotPositiveSemidefiniteError) as err:
+            markov.kernel_inclusion_check(state)
+        assert err.value.eigenvalue == pytest.approx(expected, abs=1e-15)
+
+    def test_leaking_vector_is_read_only(self):
+        matrix = 0.5 * projector(ket("000")) + 0.5 * projector(ket("011"))
+        state = DensityOperator(register=QubitRegister(("A", "B", "C")), matrix=matrix)
+        vector = markov.kernel_inclusion_check(state).per_outcome[1].leaking_vector
+        assert vector is not None and not vector.flags.writeable
+        with pytest.raises(ValueError):
+            vector[0] = 0.0
+
+    def test_one_eigendecomposition_and_no_per_block_helpers(self, monkeypatch, w4_marginal):
+        leaking = DensityOperator(
+            register=QubitRegister(("A", "B", "C")),
+            matrix=0.5 * projector(ket("000")) + 0.5 * projector(ket("011")),
+        )
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def recording(matrix, *args, **kwargs):
+            shapes.append(np.shape(matrix))
+            return eigh(matrix, *args, **kwargs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("inclusion must not build or decompose blocks one by one")
+
+        monkeypatch.setattr(np.linalg, "eigh", recording)
+        monkeypatch.setattr(markov, "conditional_block", forbidden)
+        monkeypatch.setattr(linops, "kernel_basis", forbidden)
+        for state, verdict in ((w4_marginal, True), (leaking, False)):
+            shapes.clear()
+            assert markov.kernel_inclusion_check(state).verdict is verdict
+            assert shapes == [(4, 4, 4)]
+
+
 class TestApplyChoi:
     def test_append_zero_on_ghz3(self):
         ghz3 = reg.make_state("GHZ3")
