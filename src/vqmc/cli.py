@@ -104,18 +104,16 @@ def _print(report: dict, args) -> None:
 
 def cmd_state(args) -> int:
     state = build_builtin(args.name, p=args.p, lam=args.lam)
-    payload = registers.state_to_dict(state)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            _json.dump(payload, fh, indent=1)
-        report = _report(
+        registers.save_state(state, args.out)
+        payload = _report(
             "state",
             {"name": args.name.upper(), "p": args.p, "lambda": args.lam},
             {"written": args.out, "dim": state.dim},
         )
-        sys.stdout.write(_json.dumps(report, indent=1 if args.pretty else None) + "\n")
     else:
-        sys.stdout.write(_json.dumps(payload, indent=1 if args.pretty else None) + "\n")
+        payload = registers.state_to_dict(state)
+    sys.stdout.write(_json.dumps(payload, indent=1 if args.pretty else None) + "\n")
     return EXIT_PASS
 
 
@@ -270,8 +268,9 @@ def _demo_nonconvexity(args, config) -> int:
     for lam, state in ((0.0, rho2), (0.5, registers.mix(w4, rho2, 0.5)), (1.0, w4)):
         marginal = registers.partial_trace(state, "D")
         inclusion = markov.kernel_inclusion_check(marginal)
-        solution, _, _ = conic.cptp_certify(marginal, state, config)
-        overhead = conic.sampling_overhead(marginal, state, config)
+        system = conic._RecoverySystem(marginal, state, "C")
+        solution, _, _ = conic._cptp_answer(system, config)
+        overhead = conic._overhead_answer(system, config)
         leak_vector = _leak_payload(inclusion)
         leak_vectors.append(leak_vector)
         row = {

@@ -1,17 +1,21 @@
 """Recovery certification for the three questions.
 
-Both recovery questions share one real linear system M svec(J) = b (trace
-preservation plus the entrywise reconstruction of the target from the
-marginal), and :class:`_RecoverySystem` is the only code that forms it.
-Complex Hermitian d x d variables are
-vectorized to real vectors of length d^2 (diagonal entries, then
-sqrt(2)-scaled real and imaginary upper triangles), which preserves inner
-products and keeps all constraint data real.
+Both recovery questions are answered from one :class:`_RecoverySystem` per
+(marginal, target) pair: it validates the pair once, groups both states by
+its layout (rest, C, ext), and on first use builds the Petz map and solves
+the real linear system M svec(J) = b (trace preservation plus the
+entrywise reconstruction of the target from the marginal), which no other
+code forms. :func:`recoverability_sweep` asks one system both questions.
+Complex Hermitian d x d variables are vectorized to real vectors of length
+d^2 (diagonal entries, then sqrt(2)-scaled real and imaginary upper
+triangles), which preserves inner products and keeps all constraint data
+real.
 
 Channel recovery is decided without an SDP: by Petz's theorem a channel on
-C rebuilds the state iff the Petz map does, so :func:`cptp_certify` builds
-the Petz Choi matrix, verifies it by the independent Choi application and
-classifies the residual with the solver thresholds.
+C rebuilds the state iff the Petz map does, so :func:`cptp_certify`
+verifies the system's Petz Choi matrix by the independent Choi application
+and classifies the residual with the solver thresholds, without factoring
+the linear system.
 
 :func:`sampling_overhead` first solves the linear system in the
 least-squares sense without forming it (:class:`_RecoverySystem`): the
@@ -21,8 +25,8 @@ the null space. When the max-abs residual exceeds ``eps_infeasible`` no
 Hermitian-preserving recovery exists, and it returns INFEASIBLE
 (nu = +inf) with 0 iterations, the least-squares J as block ``J``, that
 residual as ``primal_residual`` and ``debug == {"method": "least_squares"}``.
-Otherwise it runs the Petz check, unless the least-squares J rules it out,
-and returns nu = 0 when the Petz map recovers the state
+Otherwise it takes the system's Petz certificate, unless the least-squares
+J rules it out, and returns nu = 0 when the Petz map recovers the state
 (``debug == {"method": "petz"}``). A residual above ``eps_feasible`` is
 then undetermined (MAX_ITER, 0 iterations, ``{"method": "least_squares"}``).
 The overhead SDP, reduced to the solutions J = J_ls + N y of the same
@@ -57,12 +61,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from . import linops, markov
-from .registers import ChoiOperator, DensityOperator, _trace_out_axes, partial_trace
+from .registers import ChoiOperator, DensityOperator, partial_trace
 
 OPTIMAL = "OPTIMAL"
 FEASIBLE = "FEASIBLE"
@@ -522,45 +526,8 @@ def solve(problem: ConicProblem, config: SolverConfig | None = None) -> ConicSol
 
 
 # ---------------------------------------------------------------------------
-# Recovery-certification builders
+# The recovery system of one (marginal, target) pair
 # ---------------------------------------------------------------------------
-
-
-def _split_labels(marginal: DensityOperator, target: DensityOperator, act_on: str):
-    """Extension labels = target labels minus marginal labels, in target order."""
-    ext = tuple(lab for lab in target.labels if lab not in marginal.labels)
-    if not ext:
-        raise ValueError("target must extend the marginal by at least one subsystem")
-    expected = []
-    for lab in marginal.labels:
-        expected.append(lab)
-        if lab == act_on:
-            expected.extend(ext)
-    if tuple(expected) != target.labels:
-        raise ValueError(
-            f"target labels {target.labels} must equal the marginal labels with the "
-            f"extension inserted after {act_on!r} (expected {tuple(expected)})"
-        )
-    return ext
-
-
-def check_marginal(marginal: DensityOperator, target: DensityOperator, act_on: str = "C",
-                   atol: float = 1e-10) -> tuple[str, ...]:
-    """Validate that ``marginal`` is the partial trace of ``target``.
-
-    The reconstruction SDP is trivially infeasible on mismatched data, so
-    the mismatch is rejected upfront with a message saying why.
-    """
-    ext = _split_labels(marginal, target, act_on)
-    reduced = partial_trace(target, ext)
-    gap = float(np.abs(reduced.matrix - marginal.matrix).max())
-    if gap > atol:
-        raise ValueError(
-            f"marginal is not the partial trace of the target over {ext} "
-            f"(max deviation {gap:.3e}); refusing to build a vacuously "
-            "infeasible problem"
-        )
-    return ext
 
 
 def _output_trace(choi: np.ndarray) -> np.ndarray:
@@ -585,14 +552,25 @@ def _tp_compatible_basis(choi_dim: int) -> np.ndarray:
 
 
 class _RecoverySystem:
-    """The real linear system M svec(J) = b shared by both recovery questions,
-    solved block by block.
+    """One (marginal, target) pair, validated once, and what both recovery
+    questions ask of it.
 
-    The first four rows are trace preservation, Tr_out J = I with
+    Construction checks that the extension ``ext`` (the target's labels
+    missing from the marginal) follows ``act_on`` and that Tr_ext of the
+    target is the marginal, and groups the marginal as (rest, C) and the
+    target as (rest, C, ext), the order in which the map produces it.
+    Computed on first use and kept: ``petz``, the Petz map's verified
+    certificate from Tr_rest of the grouped target, and the block solve of
+    M svec(J) = b below, whose min-norm least-squares solution is ``x_ls``
+    (``choi_ls`` as a matrix) and whose null space has the orthonormal svec
+    basis ``null_basis`` (columns), of dimension (n^2 - 1) dim null(R).
+    :meth:`certificate` builds and verifies every certificate,
+    :meth:`residual` measures any J, and :meth:`rows` gives the dense rows
+    of M to the reference builders.
+
+    The first four rows of M are trace preservation, Tr_out J = I with
     b = svec(I_2); the rest are the entrywise reconstruction of the target
-    from the marginal, with b = the target's svec. The marginal is grouped
-    with the acted subsystem last and the target ordered as the map produces
-    it (the acted output, then the extension, after the other subsystems).
+    from the marginal, with b = the target's svec.
 
     Write J in 2 x 2 blocks J_op[d, c] = J[(d, o), (c, p)] over the outputs
     o, p < n. The fit rows say R(J_op) = T_op, the (o, p) block of the target,
@@ -608,17 +586,19 @@ class _RecoverySystem:
     sqrt(s^2 + n) of the mean, so ranks are cut at 1e-12 times the largest of
     these, as a dense SVD of M cuts them, and the null space of M is
     {N (x) H : R(N) = 0, H traceless Hermitian}.
-
-    Exposes the min-norm least-squares solution ``x_ls`` (``choi_ls`` as a
-    matrix), an orthonormal svec basis ``null_basis`` (columns) of the null
-    space, of dimension (n^2 - 1) dim null(R), :meth:`residual`, and the
-    dense rows of M for the reference builders (:meth:`rows`).
     """
 
     def __init__(self, marginal: DensityOperator, target: DensityOperator, act_on: str):
-        self.ext = check_marginal(marginal, target, act_on)
-        n = 2 ** (1 + len(self.ext))
-        rest = marginal.dim // 2
+        ext = tuple(lab for lab in target.labels if lab not in marginal.labels)
+        if not ext:
+            raise ValueError("target must extend the marginal by at least one subsystem")
+        expected = tuple(name for lab in marginal.labels
+                         for name in ((lab, *ext) if lab == act_on else (lab,)))
+        if expected != target.labels:
+            raise ValueError(
+                f"target labels {target.labels} must equal the marginal labels with the "
+                f"extension inserted after {act_on!r} (expected {expected})"
+            )
 
         def ordered(state, labels):
             """The state's matrix with its subsystems permuted into ``labels``."""
@@ -627,15 +607,57 @@ class _RecoverySystem:
             return tensor_form.reshape(state.dim, state.dim)
 
         order = [lab for lab in marginal.labels if lab != act_on] + [act_on]
-        self._rho = ordered(marginal, order).reshape(rest, 2, rest, 2)
-        self._target = ordered(target, order + list(self.ext))
+        grouped = ordered(marginal, order)
+        self._target = ordered(target, order + list(ext))
+        self._n = n = 2 ** (1 + len(ext))
+        traced = self._target.reshape(marginal.dim, n // 2, marginal.dim, n // 2)
+        gap = _maxabs(np.trace(traced, axis1=1, axis2=3) - grouped)
+        if gap > 1e-10:
+            raise ValueError(
+                f"marginal is not the partial trace of the target over {ext} "
+                f"(max deviation {gap:.3e}); refusing to build a vacuously "
+                "infeasible problem"
+            )
+        self.marginal, self.target, self.act_on, self.ext = marginal, target, act_on, ext
+        self._rho = grouped.reshape(marginal.dim // 2, 2, marginal.dim // 2, 2)
+
+    def certificate(self, choi: np.ndarray, cp: bool):
+        """``(ChoiOperator, residual)`` of a Choi matrix on act_on -> (act_on, ext),
+        with the residual from the independent :func:`markov.verify_recovery`."""
+        operator = ChoiOperator(matrix=choi, input_label=self.act_on, copy_label=self.act_on + "'",
+                                extension_labels=self.ext, cp_flag=cp)
+        return operator, markov.verify_recovery(self.target, self.marginal, operator,
+                                                act_on=self.act_on)
+
+    @cached_property
+    def petz(self):
+        """The Petz map's ``(ChoiOperator, residual)``, which no tolerance affects."""
+        rest = len(self._rho)
+        rho_out = np.trace(self._target.reshape(rest, self._n, rest, self._n), axis1=0, axis2=2)
+        return self.certificate(_petz_choi(rho_out, _output_trace(rho_out)), cp=True)
+
+    @cached_property
+    def _factored(self):
+        """``(R, u, s, vt, rank)``: the fit matrix R and its SVD."""
         fit = svec(np.einsum("adbc,kdc->kab", self._rho, _svec_basis(2))).T
         u, s, vt = np.linalg.svd(fit, full_matrices=fit.shape[0] < 4)
-        rank = int((s > 1e-12 * math.sqrt(s[0] ** 2 + n)).sum())
-        self.singular_values = s
-        null = np.einsum("kdc,mop->kmdocp", unsvec(vt[rank:], 2), _traceless_basis(n))
-        self.null_basis = svec(null.reshape(-1, 2 * n, 2 * n)).T
+        rank = int((s > 1e-12 * math.sqrt(s[0] ** 2 + self._n)).sum())
+        return fit, u, s, vt, rank
 
+    @cached_property
+    def singular_values(self) -> np.ndarray:
+        return self._factored[2]
+
+    @cached_property
+    def null_basis(self) -> np.ndarray:
+        vt, rank = self._factored[3:]
+        null = np.einsum("kdc,mop->kmdocp", unsvec(vt[rank:], 2), _traceless_basis(self._n))
+        return svec(null.reshape(-1, 2 * self._n, 2 * self._n)).T
+
+    @cached_property
+    def choi_ls(self) -> np.ndarray:
+        fit, u, s, vt, rank = self._factored
+        rest, n = len(self._rho), self._n
         # complex svec coordinates of the target's blocks: svec(H1) + i svec(H2)
         # for T_op = H1 + i H2 with H1, H2 Hermitian
         target_blocks = self._target.reshape(rest, n, rest, n).transpose(1, 3, 0, 2)
@@ -651,8 +673,11 @@ class _RecoverySystem:
         deviations = (diagonal - mean) @ pinv.T
         blocks[range(n), range(n)] = deviations - deviations.mean(axis=0) + mean_block
         choi = unsvec(blocks.real, 2) + 1j * unsvec(blocks.imag, 2)
-        self.choi_ls = _hermitian_part(choi.transpose(2, 0, 3, 1).reshape(2 * n, 2 * n))
-        self.x_ls = svec(self.choi_ls)
+        return _hermitian_part(choi.transpose(2, 0, 3, 1).reshape(2 * n, 2 * n))
+
+    @cached_property
+    def x_ls(self) -> np.ndarray:
+        return svec(self.choi_ls)
 
     def _image(self, choi: np.ndarray) -> np.ndarray:
         """The extension the Choi matrix J (or each of a stack) makes of the marginal."""
@@ -672,7 +697,7 @@ class _RecoverySystem:
 
         Returns ``(choi_dim, tp_rows, fit_rows)``.
         """
-        dim = len(self.choi_ls)
+        dim = 2 * self._n
         basis = _svec_basis(dim)
         matrix = np.hstack([svec(_output_trace(basis)), svec(self._image(basis))]).T
         rhs = np.concatenate([svec(np.eye(2)), svec(self._target)])
@@ -781,17 +806,16 @@ class OverheadResult:
         }
 
 
-def _petz_choi(target: DensityOperator, act_on: str, ext: tuple[str, ...]) -> np.ndarray:
+def _petz_choi(rho_out: np.ndarray, rho_in: np.ndarray) -> np.ndarray:
     """Choi matrix of the Petz recovery map of Tr_ext with reference rho_{C,ext}.
 
-    R(X) = S (K X K (x) I_ext) S with S = rho_{C,ext}^(1/2) and K = rho_C^(-1/2)
-    on the support of rho_C; inputs on its kernel are sent to the maximally
-    mixed output, which keeps R trace preserving.
+    ``rho_out`` is rho_{C,ext}, the target traced over the rest, and
+    ``rho_in`` is rho_C = Tr_ext rho_{C,ext}. R(X) = S (K X K (x) I_ext) S
+    with S = rho_{C,ext}^(1/2) and K = rho_C^(-1/2) on the support of rho_C;
+    inputs on its kernel are sent to the maximally mixed output, which keeps
+    R trace preserving.
     """
-    rest = [lab for lab in target.labels if lab != act_on and lab not in ext]
-    rho_out = partial_trace(target, rest).matrix
     out_dim = rho_out.shape[0]
-    rho_in = _trace_out_axes(rho_out, 1 + len(ext), range(1, 1 + len(ext)))
     w, v = linops.eigh(rho_out)
     sqrt_out = (v * np.sqrt(np.maximum(w, 0.0))) @ v.conj().T
     w, v = linops.eigh(rho_in)
@@ -807,31 +831,6 @@ def _petz_choi(target: DensityOperator, act_on: str, ext: tuple[str, ...]) -> np
     w, v = np.linalg.eigh(_output_trace(choi))
     fix = np.kron((v / np.sqrt(w)) @ v.conj().T, np.eye(out_dim))
     return fix @ choi @ fix
-
-
-def _petz_check(marginal: DensityOperator, target: DensityOperator, act_on: str,
-                ext: tuple[str, ...], config: SolverConfig | None):
-    """Decide exact channel recovery in closed form (Petz's theorem).
-
-    A channel on ``act_on`` rebuilds ``target`` from ``marginal`` iff the Petz
-    map does, so its reconstruction residual, re-verified by the independent
-    Choi application, decides the question: FEASIBLE up to ``eps_feasible``,
-    INFEASIBLE above ``eps_infeasible``, MAX_ITER (the dead zone) in between.
-    ``ext`` are the extension labels returned by :func:`check_marginal`.
-    Returns ``(status, petz_choi, residual)``.
-    """
-    cfg = config or SolverConfig()
-    choi = ChoiOperator(
-        matrix=_petz_choi(target, act_on, ext),
-        input_label=act_on,
-        copy_label=act_on + "'",
-        extension_labels=ext,
-        cp_flag=True,
-    )
-    residual = markov.verify_recovery(target, marginal, choi, act_on=act_on)
-    if residual <= cfg.eps_feasible:
-        return FEASIBLE, choi, residual
-    return (INFEASIBLE if residual > cfg.eps_infeasible else MAX_ITER), choi, residual
 
 
 def _solution(status: str, objective: float | None, blocks: dict, scalars: dict,
@@ -1190,18 +1189,21 @@ def sampling_overhead(
     ``config.max_iterations`` Newton steps) for a null space, or when the
     dual's bounds do not meet.
     """
+    return _overhead_answer(_RecoverySystem(marginal, target, act_on), config)
+
+
+def _overhead_answer(system: _RecoverySystem, config: SolverConfig | None) -> OverheadResult:
+    """:func:`sampling_overhead` of the system's pair."""
     cfg = config or SolverConfig()
-    system = _RecoverySystem(marginal, target, act_on)
     ls_residual = system.residual(system.choi_ls)
     if ls_residual > cfg.eps_infeasible:
         solution = _solution(INFEASIBLE, None, {"J": system.choi_ls}, {}, ls_residual,
                              {"method": "least_squares"})
         return OverheadResult(status=INFEASIBLE, nu=math.inf, solution=solution)
 
-    ext = system.ext
-    if not system.excludes_psd(target.dim * cfg.eps_feasible):
-        status, choi, residual = _petz_check(marginal, target, act_on, ext, cfg)
-        if status == FEASIBLE:
+    if not system.excludes_psd(system.target.dim * cfg.eps_feasible):
+        choi, residual = system.petz
+        if residual <= cfg.eps_feasible:
             blocks = {"J1": choi.matrix, "J2": np.zeros_like(choi.matrix)}
             solution = _solution(OPTIMAL, 1.0, blocks, {"c1": 1.0, "c2": 0.0}, residual,
                                  {"method": "petz"})
@@ -1221,23 +1223,10 @@ def sampling_overhead(
 
     c1 = solution.scalar_values["c1"]
     c2 = solution.scalar_values["c2"]
-    difference = ChoiOperator(
-        matrix=choi_matrix,
-        input_label=act_on,
-        copy_label=act_on + "'",
-        extension_labels=ext,
-        cp_flag=False,
-    )
-    residual = markov.verify_recovery(target, marginal, difference, act_on=act_on)
-    return OverheadResult(
-        status=OPTIMAL,
-        nu=math.log2(c1 + c2),
-        c1=c1,
-        c2=c2,
-        choi_difference=difference,
-        certificate_residual=residual,
-        solution=solution,
-    )
+    difference, residual = system.certificate(choi_matrix, cp=False)
+    return OverheadResult(status=OPTIMAL, nu=math.log2(c1 + c2), c1=c1, c2=c2,
+                          choi_difference=difference, certificate_residual=residual,
+                          solution=solution)
 
 
 def cptp_certify(
@@ -1249,15 +1238,22 @@ def cptp_certify(
     """Decide channel recovery with the Petz map; on FEASIBLE, return its
     Choi matrix and verified reconstruction residual as the certificate.
 
+    The residual is FEASIBLE up to ``eps_feasible``, INFEASIBLE above
+    ``eps_infeasible`` and MAX_ITER (the dead zone) in between.
     :func:`build_cptp_feasibility` with :func:`solve` is the SDP route to the
     same verdict.
     """
-    ext = check_marginal(marginal, target, act_on)
-    status, choi, residual = _petz_check(marginal, target, act_on, ext, config)
+    return _cptp_answer(_RecoverySystem(marginal, target, act_on), config)
+
+
+def _cptp_answer(system: _RecoverySystem, config: SolverConfig | None):
+    """:func:`cptp_certify` of the system's pair."""
+    cfg = config or SolverConfig()
+    choi, residual = system.petz
+    status = FEASIBLE if residual <= cfg.eps_feasible else (
+        INFEASIBLE if residual > cfg.eps_infeasible else MAX_ITER)
     solution = _solution(status, 0.0, {"J": choi.matrix}, {}, residual, {"method": "petz"})
-    if status != FEASIBLE:
-        return solution, None, None
-    return solution, choi, residual
+    return (solution, choi, residual) if status == FEASIBLE else (solution, None, None)
 
 
 @dataclass(frozen=True)
@@ -1311,10 +1307,10 @@ def recoverability_sweep(family, grid, config: SolverConfig | None = None) -> Sw
         try:
             state = family(p)
             marginal = partial_trace(state, state.labels[-1])
-            act_on = marginal.labels[-1]
             inclusion = markov.kernel_inclusion_check(marginal)
-            cptp_solution, _, cptp_residual = cptp_certify(marginal, state, config, act_on)
-            overhead = sampling_overhead(marginal, state, config, act_on)
+            system = _RecoverySystem(marginal, state, marginal.labels[-1])
+            cptp_solution, _, cptp_residual = _cptp_answer(system, config)
+            overhead = _overhead_answer(system, config)
             rows.append(
                 SweepRow(
                     p=p,

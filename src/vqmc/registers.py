@@ -359,15 +359,16 @@ def state_from_dict(payload: dict) -> DensityOperator:
             raise ValueError(f"state payload {key!r} must be a list, "
                              f"got {type(payload[key]).__name__}")
     labels = tuple(payload["labels"])
+    if not all(isinstance(label, str) for label in labels):
+        raise ValueError(f"state payload 'labels' must be strings, got {list(labels)}")
     dims = tuple(payload.get("dims", (2,) * len(labels)))
     if any(d != 2 for d in dims):
         raise ValueError(f"only qubit registers are supported, got dims {dims}")
+    normalized = payload.get("normalized", True)
+    if not isinstance(normalized, bool):
+        raise ValueError(f"state payload 'normalized' must be true or false, got {normalized!r}")
     matrix = np.asarray(payload["re"], dtype=float) + 1j * np.asarray(payload["im"], dtype=float)
-    return DensityOperator(
-        register=QubitRegister(labels),
-        matrix=matrix,
-        normalized=bool(payload.get("normalized", True)),
-    )
+    return DensityOperator(register=QubitRegister(labels), matrix=matrix, normalized=normalized)
 
 
 def load_state(path) -> DensityOperator:

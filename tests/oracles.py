@@ -96,6 +96,18 @@ def conditional_block_loop(rho: np.ndarray, n: int, measure: int, outcome: int, 
     return out
 
 
+def petz_marginals(target: np.ndarray, labels, act_on: str, ext) -> tuple[np.ndarray, np.ndarray]:
+    """(rho_{C,ext}, rho_C) of the Petz map on ``act_on``, by explicit loops.
+
+    ``labels`` name the target's qubits, with the extension ``ext`` right
+    after ``act_on``: rho_{C,ext} traces out every other qubit, and rho_C
+    then traces out the extension.
+    """
+    rest = [k for k, label in enumerate(labels) if label != act_on and label not in ext]
+    rho_out = partial_trace_loop(target, len(labels), rest)
+    return rho_out, partial_trace_loop(rho_out, 1 + len(ext), range(1, 1 + len(ext)))
+
+
 def kernel_columns(matrix: np.ndarray, rcond: float = KERNEL_RCOND) -> np.ndarray:
     """Nullspace basis through scipy's SVD path."""
     return null_space(matrix, rcond=rcond)

@@ -50,6 +50,12 @@ class TestStateCommand:
         loaded = reg.load_state(path)
         assert np.abs(loaded.matrix - reg.make_state("MIX", p=0.3).matrix).max() == 0.0
 
+    def test_written_file_is_the_registers_writer_output(self, capsys, tmp_path):
+        path = tmp_path / "w4.json"
+        assert run(capsys, "state", "W4", "--out", str(path))[0] == 0
+        reg.save_state(reg.make_state("W4"), tmp_path / "reference.json")
+        assert path.read_bytes() == (tmp_path / "reference.json").read_bytes()
+
     def test_bad_p(self, capsys):
         code, _, err = run(capsys, "state", "MIX", "--p", "1.5")
         assert code == 1 and "error" in err
@@ -110,6 +116,11 @@ class TestInclusionCommand:
         ('{"labels": 5, "re": [[1.0]], "im": [[0.0]]}', "'labels' must be a list, got int"),
         ('{"labels": ["A"], "dims": 2, "re": [[1.0]], "im": [[0.0]]}',
          "'dims' must be a list, got int"),
+        ('{"labels": [["A"], ["B"]], "re": [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], '
+         '[0, 0, 0, 0]], "im": [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]}',
+         "'labels' must be strings, got [['A'], ['B']]"),
+        ('{"labels": ["A"], "re": [[1.0]], "im": [[0.0]], "normalized": "no"}',
+         "'normalized' must be true or false, got 'no'"),
     ])
     def test_malformed_state_is_a_usage_error(self, capsys, tmp_path, text, message):
         path = tmp_path / "bad.json"

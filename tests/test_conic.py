@@ -4,11 +4,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from vqmc import conic, markov
+from vqmc import cli, conic, markov
 from vqmc import registers as reg
 from vqmc.conic import Constraint, ConicProblem, SolverConfig
 from vqmc.registers import DensityOperator, QubitRegister, ket, projector
 
+import oracles
 from conftest import random_cptp_choi, random_density, random_hermitian
 
 
@@ -323,6 +324,28 @@ class TestCptpFeasibility:
         wrong = reg.partial_trace(reg.make_state("GHZ4"), "D")
         with pytest.raises(ValueError, match="partial trace"):
             entry(wrong, w4)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            conic.build_cptp_feasibility,
+            conic.build_overhead_problem,
+            conic.cptp_certify,
+            conic.sampling_overhead,
+        ],
+        ids=lambda entry: entry.__name__,
+    )
+    def test_layout_errors_rejected(self, entry):
+        w4 = reg.make_state("W4")
+        with pytest.raises(ValueError) as raised:
+            entry(w4, w4)
+        assert str(raised.value) == "target must extend the marginal by at least one subsystem"
+        with pytest.raises(ValueError) as raised:
+            entry(reg.partial_trace(w4, "D"), w4, act_on="B")
+        assert str(raised.value) == (
+            "target labels ('A', 'B', 'C', 'D') must equal the marginal labels with the "
+            "extension inserted after 'B' (expected ('A', 'B', 'D', 'C'))"
+        )
 
     def test_feasible_implies_inclusion(self):
         # metamorphic link: every certified-recoverable instance passes the
@@ -1245,3 +1268,94 @@ class TestIllConditionedBlockSolve:
             assert conic.cptp_certify(marginal, state)[0].status == conic.FEASIBLE, name
             result = conic.sampling_overhead(marginal, state)
             assert result.status != conic.INFEASIBLE, f"{name}: a channel recovers, yet nu = +inf"
+
+
+# ---------------------------------------------------------------------------
+# One recovery system per state: the Petz map from its grouped layout, and
+# what a pair costs in partial traces, Petz maps and Choi applications
+# ---------------------------------------------------------------------------
+
+
+def layout_cases():
+    cases = {}
+    for name in ("W4", "GHZ4", "RHO2"):
+        state = reg.make_state(name)
+        cases[name] = (reg.partial_trace(state, "D"), state, "C")
+    for name, state in (("MIX(0.5)", reg.make_state("MIX", p=0.5)),
+                        ("CONVEX_MIX(0.5)", reg.mix(reg.make_state("W4"),
+                                                    reg.make_state("RHO2"), 0.5))):
+        cases[name] = (reg.partial_trace(state, "D"), state, "C")
+    rng = np.random.default_rng(22)
+    for k in range(4):
+        state = labeled("ABCD", random_density(rng, 16, rank=int(rng.integers(1, 17))))
+        cases[f"seeded #{k}"] = (reg.partial_trace(state, "D"), state, "C")
+    ghz3 = reg.make_state("GHZ3")
+    cases["GHZ3 + |00> on (D, E)"] = (ghz3, reg.tensor(ghz3, labeled("DE", projector(ket("00")))),
+                                      "C")
+    state = labeled("ADBC", random_density(rng, 16))
+    cases["act on A, labels (A, D, B, C)"] = (reg.partial_trace(state, "D"), state, "A")
+    return cases
+
+
+LAYOUT_CASES = layout_cases()
+
+
+def count_calls(monkeypatch, targets):
+    """Replace each (module, name) by a counting wrapper; returns the counts by name."""
+    counts = dict.fromkeys((name for _, name in targets), 0)
+    for module, name in targets:
+        original = getattr(module, name)
+
+        def counting(*args, original=original, name=name, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    return counts
+
+
+class TestOneSystemPerState:
+    @pytest.mark.parametrize("name", list(LAYOUT_CASES))
+    def test_petz_map_matches_the_reference_marginals(self, name):
+        marginal, target, act_on = LAYOUT_CASES[name]
+        system = conic._RecoverySystem(marginal, target, act_on)
+        reference = conic._petz_choi(*oracles.petz_marginals(
+            target.matrix, target.labels, act_on, system.ext))
+        choi, residual = system.petz
+        assert np.abs(choi.matrix - reference).max() <= 1e-14
+        reference_choi = reg.ChoiOperator(matrix=reference, input_label=act_on,
+                                          copy_label=act_on + "'", extension_labels=system.ext)
+        expected = markov.verify_recovery(target, marginal, reference_choi, act_on=act_on)
+        assert residual == pytest.approx(expected, abs=1e-14)
+
+    @pytest.mark.parametrize("name", ["W4", "GHZ4", "RHO2", "MIX(0.5)", "CONVEX_MIX(0.5)"])
+    def test_a_sweep_point_traces_once_and_runs_petz_at_most_once(self, monkeypatch, name):
+        state = LAYOUT_CASES[name][1]
+        counts = count_calls(monkeypatch, [(reg, "partial_trace"), (conic, "partial_trace"),
+                                           (conic, "_petz_choi"), (markov, "apply_choi")])
+        report = conic.recoverability_sweep(lambda p: state, [0.0])
+        assert report.rows[0].error is None
+        assert counts["partial_trace"] == 1
+        assert counts["_petz_choi"] <= 1
+        if name == "RHO2":
+            # the overhead's nu = 0 reuses the verified Petz certificate
+            assert report.rows[0].nu == 0.0
+            assert counts["apply_choi"] == 1
+
+    def test_nonconvexity_demo_builds_one_petz_map_per_state(self, monkeypatch, capsys):
+        counts = count_calls(monkeypatch, [(conic, "_petz_choi"), (markov, "apply_choi")])
+        assert cli.main(["demo", "nonconvexity"]) == cli.EXIT_PASS
+        capsys.readouterr()
+        # RHO2, the midpoint and W4: one Petz map each, verified once, and
+        # W4's overhead certificate
+        assert counts == {"_petz_choi": 3, "apply_choi": 4}
+
+    @pytest.mark.parametrize("name", list(LAYOUT_CASES))
+    def test_cptp_certify_takes_no_svd(self, monkeypatch, name):
+        def refuse(*args, **kwargs):
+            raise AssertionError("cptp_certify factored the least-squares system")
+
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        marginal, target, act_on = LAYOUT_CASES[name]
+        solution, _, _ = conic.cptp_certify(marginal, target, act_on=act_on)
+        assert solution.status in (conic.FEASIBLE, conic.INFEASIBLE)

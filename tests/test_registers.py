@@ -260,3 +260,22 @@ class TestJsonFormat:
             reg.state_from_dict(
                 {"labels": ["A"], "dims": [3], "re": [[1.0]], "im": [[0.0]]}
             )
+
+    @pytest.mark.parametrize("labels", [[["A"], ["B"]], ["A", 2], [None, "B"]])
+    def test_rejects_labels_that_are_not_strings(self, labels):
+        payload = {"labels": labels, "re": np.eye(4).tolist(), "im": np.zeros((4, 4)).tolist()}
+        with pytest.raises(ValueError, match="'labels' must be strings"):
+            reg.state_from_dict(payload)
+
+    @pytest.mark.parametrize("flag", ["no", "false", 0, 1, None])
+    def test_rejects_a_normalized_flag_that_is_not_boolean(self, flag):
+        payload = reg.state_to_dict(reg.make_state("W4"))
+        payload["normalized"] = flag
+        with pytest.raises(ValueError, match="'normalized' must be true or false"):
+            reg.state_from_dict(payload)
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_accepts_a_boolean_normalized_flag(self, flag):
+        payload = reg.state_to_dict(reg.make_state("W4"))
+        payload["normalized"] = flag
+        assert reg.state_from_dict(payload).normalized is flag
