@@ -325,12 +325,13 @@ def make_parser() -> argparse.ArgumentParser:
         if out:
             p.add_argument("--out", help="also write the report to this path")
         if solver:
-            p.add_argument("--max-iter", type=int, default=50000,
+            defaults = conic.SolverConfig()
+            p.add_argument("--max-iter", type=int, default=defaults.max_iterations,
                            help="cap on the interior-point Newton steps of one solve")
-            p.add_argument("--eps-feas", type=float, default=1e-7,
+            p.add_argument("--eps-feas", type=float, default=defaults.eps_feasible,
                            help="largest max-abs reconstruction residual that counts as "
                                 "recovered (feasible)")
-            p.add_argument("--eps-infeasible", type=float, default=1e-5,
+            p.add_argument("--eps-infeasible", type=float, default=defaults.eps_infeasible,
                            help="smallest max-abs residual that counts as infeasible; "
                                 "residuals between the two are undetermined (exit 3)")
 

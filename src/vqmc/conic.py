@@ -52,9 +52,10 @@ SVD, runs a phase 1 that minimizes the shift t making every block plus t I
 PSD, and a phase 2 on the objective; see its docstring for the verdicts.
 Nothing in the recovery answers calls it: it serves generic problems, the
 reference builders :func:`build_cptp_feasibility` and
-:func:`build_overhead_problem` (whose rows :meth:`_RecoverySystem.rows`
-reads off the same block map applied to the svec basis), and the tests that
-compare against them.
+:func:`build_overhead_problem` (whose constraint matrices
+:meth:`_RecoverySystem.rows` forms as the adjoint of the same block map at
+each svec basis matrix of its output), and the tests that compare against
+them.
 """
 
 from __future__ import annotations
@@ -116,12 +117,9 @@ def unsvec(vector: np.ndarray, dim: int) -> np.ndarray:
     return matrix
 
 
-@lru_cache(maxsize=None)
-def _svec_basis(dim: int) -> np.ndarray:
-    """Read-only stack of the Hermitian basis matrices unsvec(e_k), k < dim**2."""
-    basis = unsvec(np.eye(dim * dim), dim)
-    basis.setflags(write=False)
-    return basis
+# The svec basis matrices B_k = unsvec(e_k) of the Hermitian 2 x 2 matrices.
+_QUBIT_BASIS = unsvec(np.eye(4), 2)
+_QUBIT_BASIS.setflags(write=False)
 
 
 @lru_cache(maxsize=None)
@@ -244,47 +242,6 @@ class SolverConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-# ---------------------------------------------------------------------------
-# Assembly
-# ---------------------------------------------------------------------------
-
-
-class _Assembled:
-    def __init__(self, problem: ConicProblem):
-        self.block_dims = list(problem.psd_blocks)
-        self.slices = {}
-        offset = 0
-        for name, dim in self.block_dims:
-            self.slices[name] = slice(offset, offset + dim * dim)
-            offset += dim * dim
-        self.scalar_cols = {}
-        for name in problem.free_scalars:
-            self.scalar_cols[name] = offset
-            offset += 1
-        self.n = offset
-        self.m = len(problem.equalities)
-
-        self.A = np.zeros((self.m, self.n))
-        self.b = np.zeros(self.m)
-        for r, con in enumerate(problem.equalities):
-            for name, data in con.blocks.items():
-                self.A[r, self.slices[name]] = svec(np.asarray(data, dtype=complex))
-            for name, coeff in con.scalars.items():
-                self.A[r, self.scalar_cols[name]] = coeff
-            self.b[r] = con.rhs
-
-        self.c = np.zeros(self.n)
-        for name, data in problem.objective_blocks.items():
-            self.c[self.slices[name]] = svec(np.asarray(data, dtype=complex))
-        for name, coeff in problem.objective_scalars.items():
-            self.c[self.scalar_cols[name]] = coeff
-
-    def extract(self, x: np.ndarray) -> tuple[dict, dict]:
-        blocks = {name: unsvec(x[self.slices[name]], dim) for name, dim in self.block_dims}
-        scalars = {name: float(x[col]) for name, col in self.scalar_cols.items()}
-        return blocks, scalars
 
 
 # ---------------------------------------------------------------------------
@@ -459,25 +416,47 @@ def solve(problem: ConicProblem, config: SolverConfig | None = None) -> ConicSol
     """
     cfg = config or SolverConfig()
     problem.validate()
-    asm = _Assembled(problem)
-    A, b, c = asm.A, asm.b, asm.c
+    # x holds the svec of each PSD block, then the free scalars
+    lengths = [(name, dim * dim) for name, dim in problem.psd_blocks]
+    lengths += [(name, 1) for name in problem.free_scalars]
+    slices, size = {}, 0
+    for name, length in lengths:
+        slices[name] = slice(size, size + length)
+        size += length
+
+    def fill(row, blocks, scalars):
+        for name, data in blocks.items():
+            row[slices[name]] = svec(np.asarray(data, dtype=complex))
+        for name, coeff in scalars.items():
+            row[slices[name]] = coeff
+        return row
+
+    A = np.zeros((len(problem.equalities), size))
+    for row, con in zip(A, problem.equalities):
+        fill(row, con.blocks, con.scalars)
+    b = np.array([con.rhs for con in problem.equalities], dtype=float)
+    c = fill(np.zeros(size), problem.objective_blocks, problem.objective_scalars)
     x_ls, null = _affine_solutions(A, b)
     history: list[float] = []
 
+    def block_values(x):
+        return {name: unsvec(x[slices[name]], dim) for name, dim in problem.psd_blocks}
+
     def finished(status, x, iterations):
-        return _solution(status, float(c @ x), *asm.extract(x), _maxabs(A @ x - b), {
+        scalars = {name: x[slices[name]].item() for name in problem.free_scalars}
+        return _solution(status, float(c @ x), block_values(x), scalars, _maxabs(A @ x - b), {
             "psd_blocks": [[name, dim] for name, dim in problem.psd_blocks],
             "free_scalars": list(problem.free_scalars),
-            "constraint_count": asm.m,
-            "vectorized_dim": asm.n,
+            "constraint_count": len(b),
+            "vectorized_dim": size,
             "residual_history": history,
         }, iterations)
 
     def cone_projection(x):
         x = x.copy()
-        for name, dim in asm.block_dims:
-            w, v = np.linalg.eigh(unsvec(x[asm.slices[name]], dim))
-            x[asm.slices[name]] = svec((v * np.maximum(w, 0.0)) @ v.conj().T)
+        for name, block in block_values(x).items():
+            w, v = np.linalg.eigh(block)
+            x[slices[name]] = svec((v * np.maximum(w, 0.0)) @ v.conj().T)
         return x
 
     def verdict(violation):
@@ -487,8 +466,8 @@ def solve(problem: ConicProblem, config: SolverConfig | None = None) -> ConicSol
     if ls_residual > cfg.eps_feasible:
         return finished(verdict(ls_residual), cone_projection(x_ls), 0)
 
-    offsets = [unsvec(x_ls[asm.slices[name]], dim) for name, dim in asm.block_dims]
-    columns = [null[asm.slices[name]] for name, _ in asm.block_dims]
+    offsets = list(block_values(x_ls).values())
+    columns = [null[slices[name]] for name, _ in problem.psd_blocks]
     # phase 1 over v = (y, t), with the cones X_k(y) + t I and 1 + t
     n_y = null.shape[1]
     t_row = np.eye(1, n_y + 1, n_y)
@@ -531,10 +510,14 @@ def solve(problem: ConicProblem, config: SolverConfig | None = None) -> ConicSol
 
 
 def _output_trace(choi: np.ndarray) -> np.ndarray:
-    """Tr_out J of a Choi matrix on C (x) out, or of a stack of them (last two axes)."""
-    n = choi.shape[-1] // 2
-    blocks = choi.reshape(choi.shape[:-2] + (2, n, 2, n))
-    return np.trace(blocks, axis1=-3, axis2=-1)
+    """Tr_out J of a Choi matrix on C (x) out."""
+    n = len(choi) // 2
+    return np.trace(choi.reshape(2, n, 2, n), axis1=1, axis2=3)
+
+
+def _trace_preservation_rows(choi_dim: int) -> np.ndarray:
+    """The matrices B_k (x) I_out, with <B_k (x) I, J> = svec(Tr_out J)_k."""
+    return np.kron(_QUBIT_BASIS, np.eye(choi_dim // 2))
 
 
 @lru_cache(maxsize=None)
@@ -544,7 +527,7 @@ def _tp_compatible_basis(choi_dim: int) -> np.ndarray:
     The complement is spanned by the three traceless trace-preservation
     rows: Tr_out X is a multiple of I_2 iff its traceless part vanishes.
     """
-    rows = svec(_output_trace(_svec_basis(choi_dim))).T
+    rows = svec(_trace_preservation_rows(choi_dim))
     traceless = np.vstack([rows[0] - rows[1], rows[2:]])
     basis = np.linalg.svd(traceless)[2][3:].T.copy()
     basis.setflags(write=False)
@@ -561,12 +544,13 @@ class _RecoverySystem:
     target as (rest, C, ext), the order in which the map produces it.
     Computed on first use and kept: ``petz``, the Petz map's verified
     certificate from Tr_rest of the grouped target, and the block solve of
-    M svec(J) = b below, whose min-norm least-squares solution is ``x_ls``
-    (``choi_ls`` as a matrix) and whose null space has the orthonormal svec
+    M svec(J) = b below, whose min-norm least-squares solution x_ls is
+    ``choi_ls`` as a matrix and whose null space has the orthonormal svec
     basis ``null_basis`` (columns), of dimension (n^2 - 1) dim null(R).
     :meth:`certificate` builds and verifies every certificate,
-    :meth:`residual` measures any J, and :meth:`rows` gives the dense rows
-    of M to the reference builders.
+    :meth:`residual` measures any J (``ls_gap`` keeps b - M x_ls), and
+    :meth:`rows` gives the reference builders each row of M as the Hermitian
+    matrix it pairs with J, from the adjoint of the block map.
 
     The first four rows of M are trace preservation, Tr_out J = I with
     b = svec(I_2); the rest are the entrywise reconstruction of the target
@@ -639,14 +623,10 @@ class _RecoverySystem:
     @cached_property
     def _factored(self):
         """``(R, u, s, vt, rank)``: the fit matrix R and its SVD."""
-        fit = svec(np.einsum("adbc,kdc->kab", self._rho, _svec_basis(2))).T
+        fit = svec(np.einsum("adbc,kdc->kab", self._rho, _QUBIT_BASIS)).T
         u, s, vt = np.linalg.svd(fit, full_matrices=fit.shape[0] < 4)
         rank = int((s > 1e-12 * math.sqrt(s[0] ** 2 + self._n)).sum())
         return fit, u, s, vt, rank
-
-    @cached_property
-    def singular_values(self) -> np.ndarray:
-        return self._factored[2]
 
     @cached_property
     def null_basis(self) -> np.ndarray:
@@ -675,16 +655,10 @@ class _RecoverySystem:
         choi = unsvec(blocks.real, 2) + 1j * unsvec(blocks.imag, 2)
         return _hermitian_part(choi.transpose(2, 0, 3, 1).reshape(2 * n, 2 * n))
 
-    @cached_property
-    def x_ls(self) -> np.ndarray:
-        return svec(self.choi_ls)
-
     def _image(self, choi: np.ndarray) -> np.ndarray:
-        """The extension the Choi matrix J (or each of a stack) makes of the marginal."""
-        n = choi.shape[-1] // 2
-        blocks = choi.reshape(choi.shape[:-2] + (2, n, 2, n))
-        image = np.einsum("adbc,...docp->...aobp", self._rho, blocks)
-        return image.reshape(choi.shape[:-2] + self._target.shape)
+        """The extension the Choi matrix J makes of the marginal."""
+        image = np.einsum("adbc,docp->aobp", self._rho, choi.reshape(2, self._n, 2, self._n))
+        return image.reshape(self._target.shape)
 
     def gap(self, choi: np.ndarray) -> np.ndarray:
         """b - M svec(J) for the Choi matrix J, applied block by block."""
@@ -692,17 +666,24 @@ class _RecoverySystem:
                                svec(self._target - self._image(choi))])
 
     def rows(self):
-        """The rows of M as (Hermitian matrix, rhs) pairs; column k of M is
-        the map applied to the k-th svec basis matrix.
+        """The rows of M as (Hermitian matrix G, rhs) pairs, <G, J> being the
+        row applied to svec(J). Trace preservation gives B_k (x) I_out; the
+        fit row at the target's svec basis matrix F is the adjoint of the map,
+        G[(d, o), (c, p)] = sum_ab F[(a, o), (b, p)] conj rho[(a, d), (b, c)].
 
         Returns ``(choi_dim, tp_rows, fit_rows)``.
         """
-        dim = 2 * self._n
-        basis = _svec_basis(dim)
-        matrix = np.hstack([svec(_output_trace(basis)), svec(self._image(basis))]).T
-        rhs = np.concatenate([svec(np.eye(2)), svec(self._target)])
-        rows = list(zip(unsvec(matrix, dim), rhs.tolist()))
-        return dim, rows[:4], rows[4:]
+        rest, n = len(self._rho), self._n
+        # the target's svec basis is transient: 16 MB for a 32 x 32 target
+        basis = unsvec(np.eye(self._target.size), len(self._target)).reshape(-1, rest, n, rest, n)
+        fit = np.einsum("laobp,adbc->ldocp", basis, self._rho.conj()).reshape(-1, 2 * n, 2 * n)
+        rhs = np.concatenate([svec(np.eye(2)), svec(self._target)]).tolist()
+        return 2 * n, list(zip(_trace_preservation_rows(2 * n), rhs[:4])), list(zip(fit, rhs[4:]))
+
+    @cached_property
+    def ls_gap(self) -> np.ndarray:
+        """b - M x_ls, the least-squares residual."""
+        return self.gap(self.choi_ls)
 
     def residual(self, choi: np.ndarray) -> float:
         """max |M svec(J) - b|."""
@@ -721,8 +702,8 @@ class _RecoverySystem:
         """
         if self.null_basis.shape[1]:
             return False
-        slack = np.linalg.norm(self.gap(self.choi_ls))
-        delta = (tolerance + slack) / self.singular_values[-1] + 1e-12
+        slack = np.linalg.norm(self.ls_gap)
+        delta = (tolerance + slack) / self._factored[2][-1] + 1e-12
         return bool(np.linalg.eigvalsh(self.choi_ls)[0] < -delta)
 
 
@@ -1195,7 +1176,7 @@ def sampling_overhead(
 def _overhead_answer(system: _RecoverySystem, config: SolverConfig | None) -> OverheadResult:
     """:func:`sampling_overhead` of the system's pair."""
     cfg = config or SolverConfig()
-    ls_residual = system.residual(system.choi_ls)
+    ls_residual = _maxabs(system.ls_gap)
     if ls_residual > cfg.eps_infeasible:
         solution = _solution(INFEASIBLE, None, {"J": system.choi_ls}, {}, ls_residual,
                              {"method": "least_squares"})

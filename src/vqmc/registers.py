@@ -362,13 +362,26 @@ def state_from_dict(payload: dict) -> DensityOperator:
     if not all(isinstance(label, str) for label in labels):
         raise ValueError(f"state payload 'labels' must be strings, got {list(labels)}")
     dims = tuple(payload.get("dims", (2,) * len(labels)))
+    if len(dims) != len(labels):
+        raise ValueError(f"state payload 'dims' must have one entry per label, "
+                         f"got {len(dims)} for {len(labels)} labels")
     if any(d != 2 for d in dims):
         raise ValueError(f"only qubit registers are supported, got dims {dims}")
     normalized = payload.get("normalized", True)
     if not isinstance(normalized, bool):
         raise ValueError(f"state payload 'normalized' must be true or false, got {normalized!r}")
-    matrix = np.asarray(payload["re"], dtype=float) + 1j * np.asarray(payload["im"], dtype=float)
-    return DensityOperator(register=QubitRegister(labels), matrix=matrix, normalized=normalized)
+    parts = []
+    for key in ("re", "im"):
+        try:
+            parts.append(np.asarray(payload[key], dtype=float))
+        except (TypeError, ValueError):
+            raise ValueError(f"state payload {key!r} must be a matrix of numbers") from None
+    real, imag = parts
+    if real.shape != imag.shape:
+        raise ValueError(f"state payload 're' has shape {real.shape} but 'im' has shape "
+                         f"{imag.shape}")
+    return DensityOperator(register=QubitRegister(labels), matrix=real + 1j * imag,
+                           normalized=normalized)
 
 
 def load_state(path) -> DensityOperator:

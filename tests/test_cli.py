@@ -7,8 +7,12 @@ import sys
 import numpy as np
 import pytest
 
-from vqmc import cli, markov
+from vqmc import cli, conic, markov
 from vqmc import registers as reg
+
+
+# the maximally mixed three-qubit state, as a state file's 're'
+EIGHTH = (np.eye(8) / 8).tolist()
 
 
 def run(capsys, *argv):
@@ -121,6 +125,14 @@ class TestInclusionCommand:
          "'labels' must be strings, got [['A'], ['B']]"),
         ('{"labels": ["A"], "re": [[1.0]], "im": [[0.0]], "normalized": "no"}',
          "'normalized' must be true or false, got 'no'"),
+        ('{"labels": ["A"], "re": {"x": 1}, "im": [[0]]}', "'re' must be a matrix of numbers"),
+        pytest.param(json.dumps({"labels": list("ABC"), "re": EIGHTH, "im": [[0]]}),
+                     "'re' has shape (8, 8) but 'im' has shape (1, 1)", id="1x1 im"),
+        pytest.param(json.dumps({"labels": list("ABC"), "re": EIGHTH, "im": 0}),
+                     "'re' has shape (8, 8) but 'im' has shape ()", id="scalar im"),
+        pytest.param(json.dumps({"labels": list("ABC"), "dims": [2, 2], "re": EIGHTH,
+                                 "im": np.zeros((8, 8)).tolist()}),
+                     "'dims' must have one entry per label, got 2 for 3 labels", id="short dims"),
     ])
     def test_malformed_state_is_a_usage_error(self, capsys, tmp_path, text, message):
         path = tmp_path / "bad.json"
@@ -203,6 +215,11 @@ class TestCertifyCommand:
                              flag, value)
         assert code == 1 and out == ""
         assert err.startswith("error: tolerances must be finite and positive")
+
+    def test_solver_flag_defaults_are_the_solver_config_defaults(self, capsys):
+        code, report = run_json(capsys, "certify", "--builtin", "W4", "--mode", "hptp")
+        assert code == 0
+        assert report["config"] == conic.SolverConfig().to_dict()
 
     def test_config_block_holds_the_solver_tolerances_only(self, capsys):
         _, report = run_json(capsys, "certify", "--builtin", "W4", "--mode", "hptp")

@@ -752,10 +752,14 @@ def assert_matches_admm(marginal, target, result):
 
 
 class TestLeastSquaresFrontEnd:
-    @pytest.mark.parametrize("name", ["W4", "GHZ3 + |00> on (D, E)", "GHZ4 on (W, X, Y, Z)"])
+    @pytest.mark.parametrize("name", ["W4", "GHZ3 + |00> on (D, E)", "GHZ4 on (W, X, Y, Z)",
+                                      "seeded complex ABCD"])
     def test_operator_matches_choi_application(self, name):
-        if name == "W4":
-            target = reg.make_state("W4")
+        if name in ("W4", "seeded complex ABCD"):
+            # a full-rank complex state: the fit rows take conj(rho), which a
+            # real state cannot tell from rho
+            target = (reg.make_state("W4") if name == "W4"
+                      else labeled("ABCD", random_density(np.random.default_rng(23), 16)))
             marginal, act_on = reg.partial_trace(target, "D"), "C"
         elif name == "GHZ4 on (W, X, Y, Z)":
             marginal, target, act_on = relabeled_ghz4()
@@ -1179,7 +1183,7 @@ class TestBlockSolve:
         system = conic._RecoverySystem(marginal, target, act_on)
         matrix, rhs = recovery_system_by_choi_application(marginal, target, act_on)
         dense_x_ls, _ = conic._affine_solutions(matrix, rhs)
-        assert np.abs(system.x_ls - dense_x_ls).max() <= 1e-12
+        assert np.abs(conic.svec(system.choi_ls) - dense_x_ls).max() <= 1e-12
         dense_residual = np.abs(rhs - matrix @ dense_x_ls).max()
         assert system.residual(system.choi_ls) == pytest.approx(dense_residual, abs=1e-12)
         _, s, vt = np.linalg.svd(matrix)
@@ -1341,6 +1345,26 @@ class TestOneSystemPerState:
             # the overhead's nu = 0 reuses the verified Petz certificate
             assert report.rows[0].nu == 0.0
             assert counts["apply_choi"] == 1
+
+    def test_overhead_takes_the_least_squares_gap_once(self, monkeypatch):
+        marginal, target, act_on = LAYOUT_CASES["W4"]
+        expected = conic.sampling_overhead(marginal, target, act_on=act_on)
+        counts = count_calls(monkeypatch, [(conic._RecoverySystem, "gap")])
+        result = conic.sampling_overhead(marginal, target, act_on=act_on)
+        # the least-squares J's gap, shared by the residual test and
+        # excludes_psd, then the dual route's certificate residual
+        assert counts["gap"] == 2
+        assert result.solution.debug["method"] == "dual"
+        for field in ("status", "nu", "c1", "c2", "certificate_residual"):
+            assert getattr(result, field) == getattr(expected, field), field
+        assert result.choi_difference.matrix.tobytes() == expected.choi_difference.matrix.tobytes()
+        assert result.solution.to_dict() == expected.solution.to_dict()
+        assert result.solution.debug == expected.solution.debug
+
+    @pytest.mark.parametrize("name", ["W4", "GHZ4", "RHO2"])
+    def test_cached_least_squares_gap_is_the_gap_of_choi_ls(self, name):
+        system = conic._RecoverySystem(*LAYOUT_CASES[name])
+        assert system.ls_gap.tobytes() == system.gap(system.choi_ls).tobytes()
 
     def test_nonconvexity_demo_builds_one_petz_map_per_state(self, monkeypatch, capsys):
         counts = count_calls(monkeypatch, [(conic, "_petz_choi"), (markov, "apply_choi")])

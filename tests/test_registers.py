@@ -279,3 +279,27 @@ class TestJsonFormat:
         payload = reg.state_to_dict(reg.make_state("W4"))
         payload["normalized"] = flag
         assert reg.state_from_dict(payload).normalized is flag
+
+    @pytest.mark.parametrize("key", ["re", "im"])
+    @pytest.mark.parametrize("value", [{"x": 1}, [[1.0, 0.0], [0.0]], "one"])
+    def test_rejects_a_part_that_is_not_a_matrix_of_numbers(self, key, value):
+        payload = {"labels": ["A"], "re": [[1.0, 0.0], [0.0, 0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+        payload[key] = value
+        with pytest.raises(ValueError, match=f"'{key}' must be a matrix of numbers"):
+            reg.state_from_dict(payload)
+
+    @pytest.mark.parametrize("im, shape", [([[0]], (1, 1)), (0, ()), ([0.0] * 8, (8,)),
+                                           (np.zeros((4, 4)).tolist(), (4, 4))])
+    def test_rejects_an_imaginary_part_of_another_shape(self, im, shape):
+        payload = {"labels": ["A", "B", "C"], "re": (np.eye(8) / 8).tolist(), "im": im}
+        with pytest.raises(ValueError) as caught:
+            reg.state_from_dict(payload)
+        assert str(caught.value) == (
+            f"state payload 're' has shape (8, 8) but 'im' has shape {shape}")
+
+    @pytest.mark.parametrize("dims", [[], [2], [2, 2, 2]])
+    def test_rejects_dims_of_another_length_than_labels(self, dims):
+        payload = {"labels": ["A", "B"], "dims": dims, "re": (np.eye(4) / 4).tolist(),
+                   "im": np.zeros((4, 4)).tolist()}
+        with pytest.raises(ValueError, match=f"one entry per label, got {len(dims)} for 2 labels"):
+            reg.state_from_dict(payload)
