@@ -10,6 +10,11 @@ RunReport as JSON (floats at 17 significant digits, +inf as the string
     3  undetermined (solver dead zone or iteration cap)
 
 Reports are deterministic for fixed inputs and flags except the timestamp.
+
+Each command imports the modules it uses when it runs, so building the
+parser, --version and --help load no numpy. The solver flags and --tol
+default to None, which stands for conic.SolverConfig's defaults and
+markov.INCLUSION_LEAK_TOL.
 """
 
 from __future__ import annotations
@@ -17,8 +22,12 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from typing import TYPE_CHECKING
 
-from . import __version__, _json, conic, markov, registers
+from . import __version__, _json
+
+if TYPE_CHECKING:
+    from . import conic, markov, registers
 
 BUILTIN_NAMES = ("GHZ4", "W4", "MIX", "RHO2", "GHZ3", "CONVEX_MIX")
 
@@ -33,6 +42,8 @@ class UsageError(ValueError):
 
 
 def build_builtin(name: str, p: float | None = None, lam: float | None = None):
+    from . import registers
+
     name = name.upper()
     if name == "CONVEX_MIX":
         if lam is None:
@@ -50,6 +61,8 @@ def build_builtin(name: str, p: float | None = None, lam: float | None = None):
 
 
 def _resolve_state(args) -> tuple[registers.DensityOperator, dict]:
+    from . import registers
+
     inputs: dict = {}
     if getattr(args, "builtin", None):
         state = build_builtin(args.builtin, p=args.p, lam=args.lam)
@@ -67,6 +80,8 @@ def _resolve_state(args) -> tuple[registers.DensityOperator, dict]:
 
 
 def _marginal_of(state: registers.DensityOperator) -> registers.DensityOperator:
+    from . import registers
+
     if state.register.n_qubits == 4:
         return registers.partial_trace(state, state.labels[-1])
     if state.register.n_qubits == 3:
@@ -75,11 +90,12 @@ def _marginal_of(state: registers.DensityOperator) -> registers.DensityOperator:
 
 
 def _solver_config(args) -> conic.SolverConfig:
-    return conic.SolverConfig(
-        eps_feasible=args.eps_feas,
-        eps_infeasible=args.eps_infeasible,
-        max_iterations=args.max_iter,
-    )
+    """The solver flags given on the command line over SolverConfig's defaults."""
+    from .conic import SolverConfig
+
+    flags = {"eps_feasible": args.eps_feas, "eps_infeasible": args.eps_infeasible,
+             "max_iterations": args.max_iter}
+    return SolverConfig(**{key: value for key, value in flags.items() if value is not None})
 
 
 def _report(command: str, inputs: dict, results: dict, config: dict | None = None) -> dict:
@@ -103,6 +119,8 @@ def _print(report: dict, args) -> None:
 
 
 def cmd_state(args) -> int:
+    from . import registers
+
     state = build_builtin(args.name, p=args.p, lam=args.lam)
     if args.out:
         registers.save_state(state, args.out)
@@ -118,15 +136,20 @@ def cmd_state(args) -> int:
 
 
 def cmd_inclusion(args) -> int:
+    from . import markov
+
     state, inputs = _resolve_state(args)
     marginal = _marginal_of(state)
-    report = markov.kernel_inclusion_check(marginal, tol=args.tol)
+    tol = markov.INCLUSION_LEAK_TOL if args.tol is None else args.tol
+    report = markov.kernel_inclusion_check(marginal, tol=tol)
     out = _report("inclusion", inputs, report.to_dict())
     _print(out, args)
     return EXIT_PASS if report.verdict else EXIT_FAIL
 
 
 def cmd_certify(args) -> int:
+    from . import conic, registers
+
     state, inputs = _resolve_state(args)
     if state.register.n_qubits != 4:
         raise UsageError(f"certify needs a four-subsystem state, got labels {state.labels}")
@@ -181,6 +204,8 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def cmd_sweep(args) -> int:
+    from . import conic, registers
+
     if args.family.upper() != "MIX":
         raise UsageError(f"only the MIX family is available, got {args.family!r}")
     grid = _parse_grid(args.grid)
@@ -209,6 +234,8 @@ def cmd_demo(args) -> int:
 
 def _demo_append_channel(args, config) -> int:
     """A three-qubit GHZ extended by the channel that appends |0>."""
+    from . import conic, markov, registers
+
     ghz3 = registers.make_state("GHZ3")
     choi = registers.make_channel_choi("APPEND_ZERO")
     target = registers.tensor(ghz3, registers.DensityOperator(
@@ -233,6 +260,8 @@ def _demo_append_channel(args, config) -> int:
 def _demo_two_qubit_recovery(args) -> int:
     """Blocks of the four-qubit W state over A, traced to B: the pairwise
     linearity test for recovering the state from its two-qubit marginal."""
+    from . import markov, registers
+
     w4 = registers.make_state("W4")
     report = markov.marginal_block_consistency(w4, keep="B", extend_to={"C", "D"})
     blocks = markov.operator_blocks(w4, ["A"])
@@ -262,6 +291,8 @@ def _demo_nonconvexity(args, config) -> int:
     Both endpoints admit a quasiprobability recovery (RHO2 even a channel),
     while the midpoint admits none: the recoverable set is not convex.
     """
+    from . import conic, markov, registers
+
     w4 = registers.make_state("W4")
     rho2 = registers.make_state("RHO2")
     rows, leak_vectors = [], []
@@ -325,13 +356,12 @@ def make_parser() -> argparse.ArgumentParser:
         if out:
             p.add_argument("--out", help="also write the report to this path")
         if solver:
-            defaults = conic.SolverConfig()
-            p.add_argument("--max-iter", type=int, default=defaults.max_iterations,
+            p.add_argument("--max-iter", type=int,
                            help="cap on the interior-point Newton steps of one solve")
-            p.add_argument("--eps-feas", type=float, default=defaults.eps_feasible,
+            p.add_argument("--eps-feas", type=float,
                            help="largest max-abs reconstruction residual that counts as "
                                 "recovered (feasible)")
-            p.add_argument("--eps-infeasible", type=float, default=defaults.eps_infeasible,
+            p.add_argument("--eps-infeasible", type=float,
                            help="smallest max-abs residual that counts as infeasible; "
                                 "residuals between the two are undetermined (exit 3)")
 
@@ -352,7 +382,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_incl = sub.add_parser("inclusion", help="kernel-inclusion check")
     add_state_args(p_incl)
-    p_incl.add_argument("--tol", type=float, default=markov.INCLUSION_LEAK_TOL)
+    p_incl.add_argument("--tol", type=float)
     add_common(p_incl)
     p_incl.set_defaults(func=cmd_inclusion)
 

@@ -347,6 +347,14 @@ def state_to_dict(rho: DensityOperator) -> dict:
     }
 
 
+def _numbers_only(value) -> bool:
+    """True when every leaf of the nested lists is an int or a float, not a bool;
+    ``np.asarray(..., dtype=float)`` alone would take "0.5" and false as numbers."""
+    if isinstance(value, list):
+        return all(_numbers_only(item) for item in value)
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def state_from_dict(payload: dict) -> DensityOperator:
     """Inverse of :func:`state_to_dict`."""
     if not isinstance(payload, dict):
@@ -373,9 +381,12 @@ def state_from_dict(payload: dict) -> DensityOperator:
     parts = []
     for key in ("re", "im"):
         try:
-            parts.append(np.asarray(payload[key], dtype=float))
-        except (TypeError, ValueError):
-            raise ValueError(f"state payload {key!r} must be a matrix of numbers") from None
+            part = np.asarray(payload[key], dtype=float) if _numbers_only(payload[key]) else None
+        except (ValueError, OverflowError):  # ragged rows, or an int beyond any float
+            part = None
+        if part is None:
+            raise ValueError(f"state payload {key!r} must be a matrix of numbers")
+        parts.append(part)
     real, imag = parts
     if real.shape != imag.shape:
         raise ValueError(f"state payload 're' has shape {real.shape} but 'im' has shape "

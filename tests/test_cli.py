@@ -99,6 +99,11 @@ class TestInclusionCommand:
         code, report = run_json(capsys, "inclusion", str(path))
         assert code == 0 and report["results"]["verdict"] is True
 
+    def test_tol_defaults_to_the_inclusion_leak_tolerance(self, capsys):
+        code, report = run_json(capsys, "inclusion", "--builtin", "W4")
+        assert code == 0
+        assert report["results"]["tol"] == markov.INCLUSION_LEAK_TOL
+
     def test_tol_is_passed_through(self, capsys):
         code, report = run_json(capsys, "inclusion", "--builtin", "W4", "--tol", "1e-6")
         assert code == 0
@@ -126,6 +131,12 @@ class TestInclusionCommand:
         ('{"labels": ["A"], "re": [[1.0]], "im": [[0.0]], "normalized": "no"}',
          "'normalized' must be true or false, got 'no'"),
         ('{"labels": ["A"], "re": {"x": 1}, "im": [[0]]}', "'re' must be a matrix of numbers"),
+        ('{"labels": ["A"], "re": [["0.5", "0"], ["0", "0.5"]], "im": [[0, 0], [0, 0]]}',
+         "'re' must be a matrix of numbers"),
+        ('{"labels": ["A"], "re": [[0.5, 0], [0, 0.5]], "im": [[false, 0], [0, 0]]}',
+         "'im' must be a matrix of numbers"),
+        pytest.param('{"labels": ["A"], "re": [[1%s, 0], [0, 0.5]], "im": [[0, 0], [0, 0]]}'
+                     % ("0" * 400), "'re' must be a matrix of numbers", id="int beyond float"),
         pytest.param(json.dumps({"labels": list("ABC"), "re": EIGHTH, "im": [[0]]}),
                      "'re' has shape (8, 8) but 'im' has shape (1, 1)", id="1x1 im"),
         pytest.param(json.dumps({"labels": list("ABC"), "re": EIGHTH, "im": 0}),
@@ -334,10 +345,65 @@ class TestReportContract:
         assert "Infinity" not in out
 
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def modules_after(code: str) -> set[str]:
+    """The modules a fresh interpreter has loaded once it has run ``code``."""
+    script = code + "\nimport sys\nprint(' '.join(sys.modules))\n"
+    proc = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True, check=True)
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def modules_after_cli(*argv) -> set[str]:
+    """The modules a fresh interpreter has loaded once ``vqmc *argv`` has run."""
+    return modules_after("import vqmc.cli\n"
+                         "try:\n"
+                         f"    vqmc.cli.main({list(argv)!r})\n"
+                         "except SystemExit:\n"
+                         "    pass")
+
+
 class TestImportFloor:
+    def test_package_import_loads_no_numpy(self):
+        loaded = modules_after("import vqmc")
+        assert "numpy" not in loaded
+        assert not {name for name in loaded if name.startswith("vqmc.")}
+
+    @pytest.mark.parametrize("argv", [("--version",), ("certify", "--help")])
+    def test_version_and_help_load_no_numpy(self, argv):
+        assert "numpy" not in modules_after_cli(*argv)
+
+    @pytest.mark.parametrize("argv", [("state", "W4"), ("inclusion", "--builtin", "W4")])
+    def test_state_and_inclusion_load_no_solver(self, argv):
+        loaded = modules_after_cli(*argv)
+        assert "vqmc.registers" in loaded
+        assert "vqmc.conic" not in loaded
+
+    @pytest.mark.parametrize("argv", [
+        ("certify", "--builtin", "W4", "--mode", "hptp"),
+        ("certify", "--builtin", "W4", "--mode", "cptp"),
+        ("sweep", "--grid", "0,0.5,1"),
+        ("demo", "nonconvexity"),
+    ])
+    def test_solver_commands_load_no_reference_route(self, argv):
+        loaded = modules_after_cli(*argv)
+        assert "vqmc.conic" in loaded
+        assert "vqmc._reference" not in loaded
+
+    def test_submodules_and_names_load_on_first_access(self):
+        loaded = modules_after(
+            "import sys, vqmc\n"
+            "assert 'vqmc.conic' not in sys.modules\n"
+            "assert vqmc.conic is sys.modules['vqmc.conic']\n"
+            "assert vqmc.registers.make_state is vqmc.make_state\n"
+            "assert 'vqmc._reference' not in sys.modules\n"
+            "assert vqmc.solve is sys.modules['vqmc._reference'].solve")
+        assert {"vqmc.conic", "vqmc.registers", "vqmc._reference"} <= loaded
+
     def test_cli_import_does_not_load_scipy(self):
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        env = dict(os.environ, PYTHONPATH=src)
+        env = dict(os.environ, PYTHONPATH=SRC)
         code = "import vqmc.cli, sys; assert 'scipy' not in sys.modules, 'scipy was imported'"
         subprocess.run([sys.executable, "-c", code], env=env, check=True)
         # nor does answering W4's overhead, which takes the dual route

@@ -288,6 +288,26 @@ class TestJsonFormat:
         with pytest.raises(ValueError, match=f"'{key}' must be a matrix of numbers"):
             reg.state_from_dict(payload)
 
+    @pytest.mark.parametrize("key", ["re", "im"])
+    @pytest.mark.parametrize("entry", ["0.5", False, True, None, 10 ** 400],
+                             ids=["text", "false", "true", "null", "int beyond float"])
+    def test_rejects_an_entry_that_is_not_a_number(self, key, entry):
+        # np.asarray(..., dtype=float) alone would read "0.5" as 0.5 and false as 0
+        payload = {"labels": ["A"], "re": [[0.5, 0.0], [0.0, 0.5]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+        payload[key][1][0] = entry
+        with pytest.raises(ValueError) as caught:
+            reg.state_from_dict(payload)
+        assert str(caught.value) == f"state payload {key!r} must be a matrix of numbers"
+
+    def test_round_trip_of_a_complex_state_is_lossless(self, tmp_path, rng):
+        matrix = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        matrix = matrix @ matrix.conj().T
+        state = reg.DensityOperator(register=reg.QubitRegister(("A", "B")),
+                                    matrix=matrix / np.trace(matrix).real)
+        path = tmp_path / "state.json"
+        reg.save_state(state, path)
+        assert np.array_equal(reg.load_state(path).matrix, state.matrix)
+
     @pytest.mark.parametrize("im, shape", [([[0]], (1, 1)), (0, ()), ([0.0] * 8, (8,)),
                                            (np.zeros((4, 4)).tolist(), (4, 4))])
     def test_rejects_an_imaginary_part_of_another_shape(self, im, shape):
