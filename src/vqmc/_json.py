@@ -19,7 +19,7 @@ def _format_float(value: float) -> str:
         return '"inf"' if value > 0 else '"-inf"'
     text = format(value, ".17g")
     # keep a float marker so the value parses back as a float
-    if "e" not in text and "." not in text and "inf" not in text:
+    if "e" not in text and "." not in text:
         text += ".0"
     return text
 
@@ -67,20 +67,12 @@ def _emit_container(prefixes, values, brackets, indent, level):
         yield brackets
         return
     open_b, close_b = brackets
-    if indent is None:
-        yield open_b
-        for i, (prefix, value) in enumerate(items):
-            if i:
-                yield ","
-            yield prefix
-            yield from _emit(value, indent, level)
-        yield close_b
-    else:
-        pad = " " * indent * (level + 1)
-        yield open_b + "\n"
-        for i, (prefix, value) in enumerate(items):
-            if i:
-                yield ",\n"
-            yield pad + prefix
-            yield from _emit(value, indent, level + 1)
-        yield "\n" + " " * indent * level + close_b
+    # both empty in the compact form
+    newline, pad = ("", "") if indent is None else ("\n", " " * indent)
+    yield open_b + newline
+    for i, (prefix, value) in enumerate(items):
+        if i:
+            yield "," + newline
+        yield pad * (level + 1) + prefix
+        yield from _emit(value, indent, level + 1)
+    yield newline + pad * level + close_b

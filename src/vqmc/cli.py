@@ -142,8 +142,10 @@ def cmd_inclusion(args) -> int:
     marginal = _marginal_of(state)
     tol = markov.INCLUSION_LEAK_TOL if args.tol is None else args.tol
     report = markov.kernel_inclusion_check(marginal, tol=tol)
-    out = _report("inclusion", inputs, report.to_dict())
-    _print(out, args)
+    results = report.to_dict()
+    if args.verbose and not report.verdict:
+        results["leaking_vector"] = _leak_payload(report)
+    _print(_report("inclusion", inputs, results), args)
     return EXIT_PASS if report.verdict else EXIT_FAIL
 
 
@@ -261,12 +263,13 @@ def _demo_two_qubit_recovery(args) -> int:
     """Blocks of the four-qubit W state over A, traced to B: the pairwise
     linearity test for recovering the state from its two-qubit marginal."""
     from . import markov, registers
+    from .registers import _trace_out_axes
 
     w4 = registers.make_state("W4")
     report = markov.marginal_block_consistency(w4, keep="B", extend_to={"C", "D"})
     blocks = markov.operator_blocks(w4, ["A"])
     traced = {
-        f"Tr_CD M_{blk.row}{blk.col}": markov._trace_out_axes(blk.matrix, 3, [1, 2]).real.tolist()
+        f"Tr_CD M_{blk.row}{blk.col}": _trace_out_axes(blk.matrix, 3, [1, 2]).real.tolist()
         for blk in blocks
     }
     results = {

@@ -70,7 +70,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import linops, markov
-from .registers import ChoiOperator, DensityOperator, partial_trace
+from .registers import (ChoiOperator, DensityOperator, _extended_labels, _output_trace,
+                        _permuted, partial_trace)
 
 OPTIMAL = "OPTIMAL"
 FEASIBLE = "FEASIBLE"
@@ -348,12 +349,6 @@ def _interior_point(offsets, columns, cost, v, constant, config, limit=-math.inf
 # ---------------------------------------------------------------------------
 
 
-def _output_trace(choi: np.ndarray) -> np.ndarray:
-    """Tr_out J of a Choi matrix on C (x) out."""
-    n = len(choi) // 2
-    return np.trace(choi.reshape(2, n, 2, n), axis1=1, axis2=3)
-
-
 def _trace_preservation_rows(choi_dim: int) -> np.ndarray:
     """The matrices B_k (x) I_out, with <B_k (x) I, J> = svec(Tr_out J)_k."""
     return np.kron(_QUBIT_BASIS, np.eye(choi_dim // 2))
@@ -415,23 +410,15 @@ class _RecoverySystem:
         ext = tuple(lab for lab in target.labels if lab not in marginal.labels)
         if not ext:
             raise ValueError("target must extend the marginal by at least one subsystem")
-        expected = tuple(name for lab in marginal.labels
-                         for name in ((lab, *ext) if lab == act_on else (lab,)))
+        expected = _extended_labels(marginal.labels, act_on, ext)
         if expected != target.labels:
             raise ValueError(
                 f"target labels {target.labels} must equal the marginal labels with the "
                 f"extension inserted after {act_on!r} (expected {expected})"
             )
-
-        def ordered(state, labels):
-            """The state's matrix with its subsystems permuted into ``labels``."""
-            perm = [state.labels.index(lab) for lab in labels]
-            tensor_form = np.transpose(state.as_tensor(), perm + [len(perm) + q for q in perm])
-            return tensor_form.reshape(state.dim, state.dim)
-
         order = [lab for lab in marginal.labels if lab != act_on] + [act_on]
-        grouped = ordered(marginal, order)
-        self._target = ordered(target, order + list(ext))
+        grouped = _permuted(marginal.matrix, marginal.labels, order)
+        self._target = _permuted(target.matrix, target.labels, order + list(ext))
         self._n = n = 2 ** (1 + len(ext))
         traced = self._target.reshape(marginal.dim, n // 2, marginal.dim, n // 2)
         gap = _maxabs(np.trace(traced, axis1=1, axis2=3) - grouped)

@@ -40,28 +40,28 @@ class SubspaceMismatchError(ValueError):
     """Raised when two subspaces live in different ambient dimensions."""
 
 
-def hermitian_part(matrix: np.ndarray, atol: float = HERMITIAN_ATOL) -> np.ndarray:
-    """Return (H + H')/2, rejecting non-finite entries and asymmetry above ``atol``."""
+def hermitian_part(matrix: np.ndarray) -> np.ndarray:
+    """Return (H + H')/2, rejecting non-finite entries and asymmetry above ``HERMITIAN_ATOL``."""
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
-    return _hermitian_stack(matrix, atol)
+    return _hermitian_stack(matrix)
 
 
-def _hermitian_stack(stack: np.ndarray, atol: float = HERMITIAN_ATOL) -> np.ndarray:
+def _hermitian_stack(stack: np.ndarray) -> np.ndarray:
     """:func:`hermitian_part` of each square matrix of a stack (..., n, n);
     the first matrix that fails a check raises."""
     adjoint = np.swapaxes(stack, -1, -2).conj()
     if stack.shape[-1]:
         gap = np.abs(stack - adjoint)
         # any NaN or inf entry makes its own asymmetry NaN or inf
-        if not gap.max() <= atol:
+        if not gap.max() <= HERMITIAN_ATOL:
             asym = gap.reshape(-1, stack.shape[-1] ** 2).max(axis=1)
-            worst = float(asym[np.argmax(~(asym <= atol))])
+            worst = float(asym[np.argmax(~(asym <= HERMITIAN_ATOL))])
             if not np.isfinite(worst):
                 raise ValueError("matrix has non-finite entries (NaN or inf)")
             raise NonHermitianError(
-                f"matrix is not Hermitian: max asymmetry {worst:.6e} > {atol:.1e}")
+                f"matrix is not Hermitian: max asymmetry {worst:.6e} > {HERMITIAN_ATOL:.1e}")
     return (stack + adjoint) / 2
 
 
@@ -219,17 +219,13 @@ def subspace_contained(
         )
     if inner.dim == 0:
         return True, 0.0
-    max_leak = float(column_leaks(inner, outer).max())
+    max_leak = float(frame_leaks(inner.vectors, outer.vectors).max())
     return max_leak <= tol, max_leak
 
 
-def column_leaks(inner: SubspaceBasis, outer: SubspaceBasis) -> np.ndarray:
-    """Norm of ``(I - P_outer) a`` for each column ``a`` of ``inner``."""
-    return frame_leaks(inner.vectors, outer.vectors)
-
-
 def frame_leaks(inner: np.ndarray, outer: np.ndarray) -> np.ndarray:
-    """:func:`column_leaks` on raw orthonormal frames (n, k_inner) and (n, k_outer)."""
+    """Norm of ``(I - P_outer) a`` for each column ``a`` of the orthonormal frame
+    ``inner`` (n, k_inner), with ``outer`` (n, k_outer) an orthonormal frame."""
     residual = inner - (outer @ outer.conj().T) @ inner
     return np.sqrt((np.abs(residual) ** 2).sum(axis=0))
 

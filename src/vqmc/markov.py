@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linops
-from .registers import ChoiOperator, DensityOperator, LabelError, QubitRegister, _trace_out_axes
+from .registers import (ChoiOperator, DensityOperator, LabelError, QubitRegister,
+                        _extended_labels, _permuted, _trace_out_axes)
 
 INCLUSION_LEAK_TOL = 1e-8
 BLOCK_MATCH_TOL = 1e-10
@@ -276,35 +277,24 @@ def apply_choi(rho: DensityOperator, choi: ChoiOperator, act_on: str) -> Density
     collisions = set(choi.extension_labels) & (set(rho.labels) - {act_on})
     if collisions:
         raise LabelError(f"extension labels collide with state labels: {sorted(collisions)}")
-    axis = rho.register.axis(act_on)
-    n = rho.register.n_qubits
+    rho.register.axis(act_on)
     rest_dim = rho.dim // 2
     out_dim = choi.output_dim
 
     # move the acted qubit last, group the rest
-    order = [k for k in range(n) if k != axis] + [axis]
-    tensor_form = np.transpose(rho.as_tensor(), order + [n + k for k in order])
-    grouped = tensor_form.reshape(rest_dim, 2, rest_dim, 2)
+    rest_labels = [lab for lab in rho.labels if lab != act_on]
+    grouped = _permuted(rho.matrix, rho.labels, rest_labels + [act_on]).reshape(
+        rest_dim, 2, rest_dim, 2)
     choi_grouped = choi.matrix.reshape(2, out_dim, 2, out_dim)
     # out[a, o, b, p] = sum_{c,d} rho[a, c, b, d] * J[c, o, d, p]
     out = np.einsum("acbd,codp->aobp", grouped, choi_grouped)
 
-    rest_labels = [lab for lab in rho.labels if lab != act_on]
-    out_labels = rest_labels + [act_on] + list(choi.extension_labels)
-    final_labels = []
-    for lab in rho.labels:
-        if lab == act_on:
-            final_labels.append(act_on)
-            final_labels.extend(choi.extension_labels)
-        else:
-            final_labels.append(lab)
-    m = len(final_labels)
-    perm = [out_labels.index(lab) for lab in final_labels]
-    full = out.reshape((2,) * (2 * m))
-    full = np.transpose(full, perm + [m + q for q in perm])
-    matrix = full.reshape(2 ** m, 2 ** m)
+    out_labels = rest_labels + [act_on, *choi.extension_labels]
+    final_labels = _extended_labels(rho.labels, act_on, choi.extension_labels)
+    dim = rest_dim * out_dim
+    matrix = _permuted(out.reshape(dim, dim), out_labels, final_labels)
     return DensityOperator(
-        register=QubitRegister(tuple(final_labels)),
+        register=QubitRegister(final_labels),
         matrix=matrix,
         normalized=rho.normalized and choi.is_trace_preserving and choi.cp_flag,
         check_psd=choi.cp_flag,
@@ -333,13 +323,12 @@ def operator_blocks(rho: DensityOperator, over) -> list[BlockOperator]:
     i, j enumerating the basis of the ``over`` group in register order.
     """
     over = [over] if isinstance(over, str) else list(over)
-    axes = [rho.register.axis(lab) for lab in over]
+    for lab in over:
+        rho.register.axis(lab)
     rest = [lab for lab in rho.labels if lab not in over]
     if not rest:
         raise LabelError("blocks need at least one remaining subsystem")
-    n = rho.register.n_qubits
-    order = axes + [rho.register.axis(lab) for lab in rest]
-    tensor_form = np.transpose(rho.as_tensor(), order + [n + k for k in order])
+    tensor_form = _permuted(rho.matrix, rho.labels, over + rest)
     block_dim = 2 ** len(over)
     rest_dim = 2 ** len(rest)
     grouped = tensor_form.reshape(block_dim, rest_dim, block_dim, rest_dim)

@@ -167,7 +167,7 @@ class ChoiOperator:
             eigmin = float(np.linalg.eigvalsh(matrix)[0])
             if eigmin < PSD_FLOOR:
                 raise NotPositiveSemidefiniteError(eigmin)
-        reduced = self._input_marginal(matrix)
+        reduced = _output_trace(matrix)
         scale = float(np.trace(reduced).real) / 2.0
         if np.abs(reduced - scale * np.eye(2)).max() > CHOI_TRACE_ATOL:
             raise ValueError(
@@ -177,11 +177,6 @@ class ChoiOperator:
             )
         object.__setattr__(self, "extension_labels", ext)
         object.__setattr__(self, "matrix", _readonly(matrix))
-
-    @staticmethod
-    def _input_marginal(matrix: np.ndarray) -> np.ndarray:
-        out_dim = matrix.shape[0] // 2
-        return np.trace(matrix.reshape(2, out_dim, 2, out_dim), axis1=1, axis2=3)
 
     @property
     def output_dim(self) -> int:
@@ -231,6 +226,26 @@ def _trace_out_axes(matrix: np.ndarray, n_qubits: int, axes) -> np.ndarray:
         tensor_form = np.trace(tensor_form, axis1=axis - offset, axis2=axis - offset + half)
     dim = 2 ** (n_qubits - len(axes))
     return tensor_form.reshape(dim, dim)
+
+
+def _permuted(matrix: np.ndarray, labels, order) -> np.ndarray:
+    """The 2^n matrix on ``labels`` with its subsystems put in ``order``."""
+    n = len(labels)
+    perm = [labels.index(lab) for lab in order]
+    tensor_form = np.transpose(matrix.reshape((2,) * (2 * n)), perm + [n + q for q in perm])
+    return tensor_form.reshape(2 ** n, 2 ** n)
+
+
+def _extended_labels(labels, act_on: str, ext) -> tuple[str, ...]:
+    """``labels`` with ``ext`` inserted right after ``act_on``: the register a
+    map on ``act_on`` with extension outputs ``ext`` produces."""
+    return tuple(name for lab in labels for name in ((lab, *ext) if lab == act_on else (lab,)))
+
+
+def _output_trace(choi: np.ndarray) -> np.ndarray:
+    """Tr_out J of a matrix on a qubit input (x) out."""
+    n = len(choi) // 2
+    return np.trace(choi.reshape(2, n, 2, n), axis1=1, axis2=3)
 
 
 def partial_transpose(rho: DensityOperator, on: str) -> DensityOperator:

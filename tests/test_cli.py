@@ -109,6 +109,37 @@ class TestInclusionCommand:
         assert code == 0
         assert report["results"]["tol"] == 1e-6
 
+    @pytest.fixture
+    def violation_file(self, tmp_path):
+        # the engineered violation of TestLeakPayload: Ker(AC|1) leaks out of Ker(BC|1)
+        matrix = 0.5 * reg.projector(reg.ket("000")) + 0.5 * reg.projector(reg.ket("011"))
+        path = tmp_path / "violation.json"
+        reg.save_state(reg.DensityOperator(register=reg.QubitRegister(("A", "B", "C")),
+                                           matrix=matrix), path)
+        return str(path)
+
+    def test_verbose_failure_reports_the_leaking_vector(self, capsys, violation_file):
+        code, plain = run_json(capsys, "inclusion", violation_file)
+        code_verbose, verbose = run_json(capsys, "inclusion", violation_file, "--verbose")
+        assert code == code_verbose == 2
+        assert set(verbose) == set(plain)
+        payload = verbose["results"].pop("leaking_vector")
+        assert verbose["results"] == plain["results"]
+        state = reg.load_state(violation_file)
+        assert payload == cli._leak_payload(markov.kernel_inclusion_check(state))
+        assert payload["outcome"] == 1 and payload["leak"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_plain_failure_report_has_no_leaking_vector(self, capsys, violation_file):
+        _, report = run_json(capsys, "inclusion", violation_file)
+        assert "leaking_vector" not in report["results"]
+
+    def test_verbose_pass_adds_nothing(self, capsys):
+        code, plain = run_json(capsys, "inclusion", "--builtin", "W4")
+        code_verbose, verbose = run_json(capsys, "inclusion", "--builtin", "W4", "--verbose")
+        assert code == code_verbose == 0
+        assert "leaking_vector" not in verbose["results"]
+        assert verbose["results"] == plain["results"]
+
     def test_missing_input(self, capsys):
         code, _, err = run(capsys, "inclusion")
         assert code == 1 and "builtin" in err

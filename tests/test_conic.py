@@ -77,6 +77,26 @@ class TestProblemValidation:
         with pytest.raises(conic.ProblemFormatError, match="undeclared scalar"):
             conic.solve(prob)
 
+    def test_duplicate_block_names(self):
+        prob = ConicProblem(psd_blocks=(("X", 2), ("X", 3)))
+        with pytest.raises(conic.ProblemFormatError, match="duplicate PSD block names"):
+            conic.solve(prob)
+
+    def test_name_is_a_block_and_a_scalar(self):
+        prob = ConicProblem(psd_blocks=(("X", 2),), free_scalars=("X",))
+        with pytest.raises(conic.ProblemFormatError, match="both a block and a scalar"):
+            conic.solve(prob)
+
+    def test_block_data_of_the_wrong_shape(self):
+        prob = ConicProblem(
+            psd_blocks=(("X", 2),),
+            equalities=(Constraint(blocks={"X": np.eye(3)}, scalars={}, rhs=1.0),),
+        )
+        with pytest.raises(conic.ProblemFormatError,
+                           match=r"equality 0: data for block 'X' has shape \(3, 3\), "
+                                 r"expected \(2, 2\)"):
+            conic.solve(prob)
+
     def test_config_orders_tolerances(self):
         with pytest.raises(ValueError):
             SolverConfig(eps_feasible=1e-4, eps_infeasible=1e-5)
@@ -1246,7 +1266,7 @@ class TestIllConditionedBlockSolve:
     def test_trace_preservation_survives_rounding(self):
         for name, state in ILL_CONDITIONED.items():
             system = conic._RecoverySystem(reg.partial_trace(state, "D"), state, "C")
-            drift = np.abs(conic._output_trace(system.choi_ls) - np.eye(2)).max()
+            drift = np.abs(reg._output_trace(system.choi_ls) - np.eye(2)).max()
             assert drift <= 1e-12, f"{name}: Tr_out J_ls is off the identity by {drift:.3e}"
 
     def test_residual_matches_a_dense_least_squares(self):

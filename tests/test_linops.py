@@ -232,3 +232,24 @@ class TestSubspaceBasis:
         basis = linops.SubspaceBasis(np.eye(2))
         with pytest.raises(ValueError):
             basis.vectors[0, 0] = 5.0
+
+    def test_vectors_must_be_a_column_array(self):
+        with pytest.raises(ValueError, match="must form a 2-d column array, got ndim 1"):
+            linops.SubspaceBasis(np.ones(3))
+
+    def test_more_columns_than_dimensions(self):
+        with pytest.raises(ValueError, match="3 columns cannot be independent in dimension 2"):
+            linops.SubspaceBasis(np.ones((2, 3)))
+
+
+class TestHermitianPart:
+    @pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)])
+    def test_needs_a_square_matrix(self, shape):
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            linops.hermitian_part(np.ones(shape))
+
+    def test_asymmetry_is_judged_at_the_module_tolerance(self):
+        step = np.array([[0.0, linops.HERMITIAN_ATOL], [0.0, 0.0]])
+        assert np.array_equal(linops.hermitian_part(step), (step + step.T) / 2)
+        with pytest.raises(linops.NonHermitianError, match="> 1.0e-12"):
+            linops.hermitian_part(2 * step)

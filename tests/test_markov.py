@@ -355,6 +355,62 @@ class TestApplyChoi:
         with pytest.raises(LabelError, match="collide"):
             markov.apply_choi(reg.make_state("W4"), reg.make_channel_choi("APPEND_ZERO"), "C")
 
+    @staticmethod
+    def by_hand(rho, choi, act_on):
+        """apply_choi's output matrix with its layout written out index by index:
+        the acted qubit's axes moved last, the einsum, then the output axes
+        moved back with the extension right after ``act_on``."""
+        n, labels, ext = rho.register.n_qubits, list(rho.labels), list(choi.extension_labels)
+        axis = labels.index(act_on)
+        order = [k for k in range(n) if k != axis] + [axis]
+        rest_dim, out_dim = rho.dim // 2, choi.output_dim
+        grouped = np.transpose(rho.matrix.reshape((2,) * (2 * n)), order + [n + k for k in order])
+        grouped = grouped.reshape(rest_dim, 2, rest_dim, 2)
+        out = np.einsum("acbd,codp->aobp", grouped, choi.matrix.reshape(2, out_dim, 2, out_dim))
+        out_labels = [lab for lab in labels if lab != act_on] + [act_on] + ext
+        final = labels[:axis + 1] + ext + labels[axis + 1:]
+        m = len(final)
+        perm = [out_labels.index(lab) for lab in final]
+        full = np.transpose(out.reshape((2,) * (2 * m)), perm + [m + q for q in perm])
+        matrix = full.reshape(2 ** m, 2 ** m)
+        return tuple(final), (matrix + matrix.conj().T) / 2
+
+    @staticmethod
+    def relabeled(rho, labels):
+        return DensityOperator(register=QubitRegister(labels), matrix=rho.matrix)
+
+    def cases(self):
+        marginals = [reg.partial_trace(reg.make_state(name), "D")
+                     for name in ("W4", "GHZ4", "RHO2")]
+        marginals += [reg.make_state("GHZ3"), reg.partial_trace(reg.make_state("MIX", p=0.3), "D")]
+        two_qubit_ext = ChoiOperator(
+            matrix=projector(sum(np.kron(ket(b), ket(b + "01")) for b in "01")),
+            extension_labels=("D", "E"))
+        chois = [reg.make_channel_choi(name) for name in reg.CHANNEL_NAMES]
+        chois += [identity_channel_choi(), two_qubit_ext]
+        for marginal in marginals:
+            for choi in chois:
+                yield marginal, choi, "C"  # the builtin layout
+                yield marginal, choi, "B"  # the extension follows B
+                yield self.relabeled(marginal, ("C", "X", "Y")), choi, "C"
+                yield self.relabeled(marginal, ("P", "C", "Q")), choi, "C"
+
+    def test_output_is_bitwise_the_hand_written_layout(self):
+        count = 0
+        for rho, choi, act_on in self.cases():
+            out = markov.apply_choi(rho, choi, act_on)
+            labels, matrix = self.by_hand(rho, choi, act_on)
+            assert out.labels == labels
+            assert np.array_equal(out.matrix, matrix), (rho.labels, choi.extension_labels, act_on)
+            count += 1
+        assert count == 5 * 6 * 4
+
+    def test_extension_follows_b(self):
+        out = markov.apply_choi(reg.make_state("GHZ3"), reg.make_channel_choi("APPEND_ZERO"), "B")
+        assert out.labels == ("A", "B", "D", "C")
+        expected = projector((ket("0000") + ket("1101")) / np.sqrt(2.0))
+        assert np.abs(out.matrix - expected).max() <= 1e-15
+
 
 class TestBlockOperators:
     def test_theta_blocks_of_ghz_marginal(self):
@@ -431,6 +487,27 @@ class TestMarginalBlockConsistency:
         ).to_dict()
         assert payload["consistent"] is False
         assert payload["witnesses"]
+
+
+class TestValidationBranches:
+    def test_recovered_labels_must_match_the_target(self):
+        ghz3 = reg.make_state("GHZ3")
+        target = DensityOperator(register=QubitRegister(("A", "B", "C", "E")),
+                                 matrix=np.kron(ghz3.matrix, projector(ket("0"))))
+        with pytest.raises(LabelError, match=r"recovered labels .* do not match target"):
+            markov.verify_recovery(target, ghz3, reg.make_channel_choi("APPEND_ZERO"))
+
+    def test_blocks_need_a_remaining_subsystem(self):
+        with pytest.raises(LabelError, match="blocks need at least one remaining subsystem"):
+            markov.operator_blocks(reg.make_state("GHZ3"), ["A", "B", "C"])
+
+    def test_keep_label_cannot_be_extended_to(self):
+        with pytest.raises(LabelError, match="keep label 'B' cannot be part of extend_to"):
+            markov.marginal_block_consistency(reg.make_state("W4"), "B", {"B", "C"})
+
+    def test_consistency_needs_a_block_index(self):
+        with pytest.raises(LabelError, match="no subsystem left to index the blocks"):
+            markov.marginal_block_consistency(reg.make_state("W4"), "A", {"B", "C", "D"})
 
 
 class TestVerifyRecovery:

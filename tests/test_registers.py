@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -323,3 +324,99 @@ class TestJsonFormat:
                    "im": np.zeros((4, 4)).tolist()}
         with pytest.raises(ValueError, match=f"one entry per label, got {len(dims)} for 2 labels"):
             reg.state_from_dict(payload)
+
+
+def integer_qubit_matrix(rng) -> np.ndarray:
+    # small Gaussian integers: every product in a Kronecker product is exact,
+    # so a reordered product compares bit for bit
+    return rng.integers(-9, 10, (2, 2)) + 1j * rng.integers(-9, 10, (2, 2))
+
+
+def kron_all(factors) -> np.ndarray:
+    out = np.ones((1, 1), dtype=complex)
+    for factor in factors:
+        out = np.kron(out, factor)
+    return out
+
+
+class TestLayoutHelpers:
+    LABELS = ("A", "B", "C", "D")
+
+    def test_permuted_product_equals_the_product_of_reordered_factors(self, rng):
+        factors = dict(zip(self.LABELS, (integer_qubit_matrix(rng) for _ in self.LABELS)))
+        assert len({f.tobytes() for f in factors.values()}) == len(factors)
+        product = kron_all(factors[lab] for lab in self.LABELS)
+        for order in itertools.permutations(self.LABELS):
+            out = reg._permuted(product, self.LABELS, order)
+            assert np.array_equal(out, kron_all(factors[lab] for lab in order)), order
+
+    def test_permutation_and_inverse_round_trip(self, rng):
+        matrix = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+        for order in itertools.permutations(self.LABELS):
+            there = reg._permuted(matrix, self.LABELS, order)
+            assert np.array_equal(reg._permuted(there, order, self.LABELS), matrix), order
+
+    def test_single_qubit_and_identity_order_leave_the_matrix(self, rng):
+        one = integer_qubit_matrix(rng)
+        assert np.array_equal(reg._permuted(one, ("C",), ("C",)), one)
+        matrix = rng.standard_normal((8, 8)) + 0j
+        assert np.array_equal(reg._permuted(matrix, ("A", "B", "C"), ("A", "B", "C")), matrix)
+
+    @pytest.mark.parametrize("act_on, expected", [
+        ("A", ("A", "X", "Y", "B", "C")),
+        ("B", ("A", "B", "X", "Y", "C")),
+        ("C", ("A", "B", "C", "X", "Y")),
+    ])
+    def test_extended_labels_insert_right_after_act_on(self, act_on, expected):
+        assert reg._extended_labels(("A", "B", "C"), act_on, ("X", "Y")) == expected
+
+    def test_extended_labels_with_no_extension(self):
+        assert reg._extended_labels(["A", "B", "C"], "B", ()) == ("A", "B", "C")
+
+    def test_output_trace_of_a_product(self, rng):
+        a = integer_qubit_matrix(rng)
+        out = kron_all([integer_qubit_matrix(rng) for _ in range(2)])
+        assert np.array_equal(reg._output_trace(np.kron(a, out)), a * np.trace(out))
+
+
+class TestValidationBranches:
+    @pytest.mark.parametrize("bits", ["", "012"])
+    def test_ket_needs_a_bit_string(self, bits):
+        with pytest.raises(ValueError, match="expected a nonempty bit string"):
+            ket(bits)
+
+    def test_register_needs_a_label(self):
+        with pytest.raises(LabelError, match="register needs at least one label"):
+            QubitRegister(())
+
+    def test_matrix_dimension_must_match_register(self):
+        with pytest.raises(ValueError, match="does not match register dimension 2"):
+            qubit_state("A", np.eye(4) / 4)
+
+    def test_choi_labels_must_be_distinct(self):
+        with pytest.raises(LabelError, match="Choi subsystem labels must be distinct"):
+            ChoiOperator(matrix=reg.make_channel_choi("APPEND_ZERO").matrix, copy_label="C")
+
+    def test_choi_size_must_match_its_labels(self):
+        with pytest.raises(ValueError, match=r"Choi matrix must be 8x8, got \(4, 4\)"):
+            ChoiOperator(matrix=np.eye(4) / 2)
+
+    def test_choi_output_trace_must_be_proportional_to_identity(self):
+        matrix = np.kron(np.diag([1.0, 0.0]), np.eye(4) / 4)
+        with pytest.raises(ValueError, match="not proportional to the identity"):
+            ChoiOperator(matrix=matrix)
+
+    def test_cannot_trace_out_every_subsystem(self):
+        with pytest.raises(LabelError, match="cannot trace out every subsystem"):
+            reg.partial_trace(reg.make_state("GHZ3"), ("A", "B", "C"))
+
+    def test_mix_needs_one_register(self):
+        ghz3 = reg.make_state("GHZ3")
+        with pytest.raises(LabelError, match="cannot mix states on different registers"):
+            reg.mix(ghz3, reg.partial_trace(reg.make_state("GHZ4"), "A"), 0.5)
+
+    @pytest.mark.parametrize("weight", [-0.1, 1.5])
+    def test_mix_weight_must_lie_in_the_unit_interval(self, weight):
+        ghz3 = reg.make_state("GHZ3")
+        with pytest.raises(ValueError, match=r"mixing weight must lie in \[0, 1\]"):
+            reg.mix(ghz3, ghz3, weight)
