@@ -171,12 +171,9 @@ def solve(problem: ConicProblem, config: SolverConfig | None = None) -> ConicSol
             x[slices[name]] = svec((v * np.maximum(w, 0.0)) @ v.conj().T)
         return x
 
-    def verdict(violation):
-        return INFEASIBLE if violation > cfg.eps_infeasible else MAX_ITER
-
     ls_residual = _maxabs(A @ x_ls - b)
     if ls_residual > cfg.eps_feasible:
-        return finished(verdict(ls_residual), cone_projection(x_ls), 0)
+        return finished(cfg.verdict(ls_residual), cone_projection(x_ls), 0)
 
     offsets = list(block_values(x_ls).values())
     columns = [null[slices[name]] for name, _ in problem.psd_blocks]
@@ -197,7 +194,8 @@ def solve(problem: ConicProblem, config: SolverConfig | None = None) -> ConicSol
     if t > cfg.eps_psd:
         x = cone_projection(x)
         violation = _maxabs(A @ x - b)
-        return finished(verdict(violation) if status == OPTIMAL else MAX_ITER, x, iterations)
+        infeasible = status == OPTIMAL and violation > cfg.eps_infeasible
+        return finished(INFEASIBLE if infeasible else MAX_ITER, x, iterations)
     if not np.any(c):
         return finished(FEASIBLE, x, iterations)
 

@@ -173,11 +173,10 @@ def cmd_certify(args) -> int:
     else:
         overhead = conic.sampling_overhead(marginal, state, config, act_on)
         results = overhead.to_dict()
-        if overhead.solution is not None:
-            results["iterations"] = overhead.solution.iterations
-            results["primal_residual"] = overhead.solution.primal_residual
-            if args.verbose:
-                results["solver_debug"] = overhead.solution.debug
+        results["iterations"] = overhead.solution.iterations
+        results["primal_residual"] = overhead.solution.primal_residual
+        if args.verbose:
+            results["solver_debug"] = overhead.solution.debug
         status = overhead.status
 
     _print(_report("certify", inputs, results, config.to_dict()), args)
@@ -289,35 +288,28 @@ def _demo_two_qubit_recovery(args) -> int:
 
 
 def _demo_nonconvexity(args, config) -> int:
-    """Inclusion and recoverability across the W4 -- RHO2 segment.
+    """Inclusion and recoverability across the W4 -- RHO2 segment: the
+    recoverability sweep of CONVEX_MIX at lambda = 0, 1/2 and 1.
 
     Both endpoints admit a quasiprobability recovery (RHO2 even a channel),
     while the midpoint admits none: the recoverable set is not convex.
     """
-    from . import conic, markov, registers
+    from . import conic
 
-    w4 = registers.make_state("W4")
-    rho2 = registers.make_state("RHO2")
-    rows, leak_vectors = [], []
-    for lam, state in ((0.0, rho2), (0.5, registers.mix(w4, rho2, 0.5)), (1.0, w4)):
-        marginal = registers.partial_trace(state, "D")
-        inclusion = markov.kernel_inclusion_check(marginal)
-        system = conic._RecoverySystem(marginal, state, "C")
-        solution, _, _ = conic._cptp_answer(system, config)
-        overhead = conic._overhead_answer(system, config)
-        leak_vector = _leak_payload(inclusion)
-        leak_vectors.append(leak_vector)
-        row = {
-            "lambda": lam,
-            "inclusion": inclusion.verdict,
-            "inclusion_max_leak": inclusion.max_leak,
-            "cptp": solution.status,
-            "hptp": overhead.status,
-            "nu": overhead.nu,
-        }
-        if leak_vector is not None and args.verbose:
-            row["leaking_vector"] = leak_vector
-        rows.append(row)
+    sweep = conic.recoverability_sweep(lambda lam: build_builtin("CONVEX_MIX", lam=lam),
+                                       (0.0, 0.5, 1.0), config)
+    rows = []
+    for row in sweep.rows:
+        if row.error is not None:
+            raise ValueError(row.error)
+        rows.append({
+            "lambda": row.p,
+            "inclusion": row.inclusion_verdict,
+            "inclusion_max_leak": row.inclusion_max_leak,
+            "cptp": row.cptp_status,
+            "hptp": row.hptp_status,
+            "nu": row.nu,
+        })
     midpoint = rows[1]
     results = {
         "rows": rows,
@@ -326,8 +318,6 @@ def _demo_nonconvexity(args, config) -> int:
             "midpoint does not; the set of recoverable states is non-convex"
         ),
     }
-    if not midpoint["inclusion"]:
-        results["leaking_vector"] = leak_vectors[1]
     _print(_report("demo", {"name": args.name}, results, config.to_dict()), args)
     return EXIT_PASS if midpoint["inclusion"] else EXIT_FAIL
 
@@ -345,19 +335,27 @@ def _leak_payload(inclusion: markov.InclusionReport) -> dict | None:
     return None
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors exit with EXIT_ERROR, not argparse's 2;
+    the subcommand parsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="vqmc",
         description="Virtual-recovery analysis of four-qubit states",
     )
     parser.add_argument("--version", action="version", version=f"vqmc {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, solver=False, out=True):
+    def add_common(p, solver=False):
         p.add_argument("--pretty", action="store_true", help="indent the JSON report")
         p.add_argument("--verbose", action="store_true", help="include intermediate matrices")
-        if out:
-            p.add_argument("--out", help="also write the report to this path")
+        p.add_argument("--out", help="also write the report to this path")
         if solver:
             p.add_argument("--max-iter", type=int,
                            help="cap on the interior-point Newton steps of one solve")
@@ -380,7 +378,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_state.add_argument("--p", type=float, default=None)
     p_state.add_argument("--lambda", dest="lam", type=float, default=None)
     p_state.add_argument("--out", help="output path (stdout when omitted)")
-    add_common(p_state, out=False)
+    p_state.add_argument("--pretty", action="store_true", help="indent the JSON output")
     p_state.set_defaults(func=cmd_state)
 
     p_incl = sub.add_parser("inclusion", help="kernel-inclusion check")

@@ -201,6 +201,13 @@ class SolverConfig:
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
 
+    def verdict(self, residual: float) -> str:
+        """FEASIBLE up to ``eps_feasible``, INFEASIBLE above ``eps_infeasible``,
+        MAX_ITER (undetermined) in between."""
+        if residual <= self.eps_feasible:
+            return FEASIBLE
+        return INFEASIBLE if residual > self.eps_infeasible else MAX_ITER
+
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -619,6 +626,19 @@ def _solution(status: str, objective: float | None, blocks: dict, scalars: dict,
     )
 
 
+def _split_solution(system: _RecoverySystem, status: str, j1: np.ndarray, j2: np.ndarray,
+                    method: str, lower_bound: float, iterations: int) -> ConicSolution:
+    """The ConicSolution of a split J1 - J2 with c2 = Tr J2 / 2, c1 = 1 + c2,
+    objective 1 + 2 c2 and the dual ``lower_bound`` it is certified against."""
+    c2 = float(np.trace(j2).real) / 2
+    return _solution(
+        status, 1.0 + 2.0 * c2, {"J1": j1, "J2": j2}, {"c1": 1.0 + c2, "c2": c2},
+        system.residual(j1 - j2),
+        {"method": method, "lower_bound": lower_bound, "gap": 1.0 + 2.0 * c2 - lower_bound},
+        iterations,
+    )
+
+
 def _reduced_overhead(system: _RecoverySystem, config: SolverConfig | None = None):
     """Minimal c1 + c2 over the splits of the recovery system's solutions.
 
@@ -670,15 +690,8 @@ def _reduced_overhead(system: _RecoverySystem, config: SolverConfig | None = Non
     lower_bound = 1.0 - _inner(certified[1], choi)
 
     j2, j1 = slacks
-    c2 = float(np.trace(j2).real) / 2
-    residual = system.residual(j1 - j2)
-    solution = _solution(
-        status, 1.0 + 2.0 * c2, {"J1": j1, "J2": j2}, {"c1": 1.0 + c2, "c2": c2}, residual,
-        {"method": "interior_point", "lower_bound": lower_bound,
-         "gap": 1.0 + 2.0 * c2 - lower_bound},
-        iterations,
-    )
-    return solution, choi, certified
+    return _split_solution(system, status, j1, j2, "interior_point", lower_bound,
+                           iterations), choi, certified
 
 
 # ---------------------------------------------------------------------------
@@ -917,15 +930,8 @@ def _dual_overhead(system: _RecoverySystem):
         steps += 1
 
     j2 = best["j2"]
-    c2 = float(np.trace(j2).real) / 2
-    j1 = choi + j2
-    solution = _solution(
-        OPTIMAL, best["upper"], {"J1": j1, "J2": j2}, {"c1": 1.0 + c2, "c2": c2},
-        system.residual(j1 - j2),
-        {"method": "dual", "lower_bound": best["lower"], "gap": best["upper"] - best["lower"]},
-        steps,
-    )
-    return solution, choi, best["duals"]
+    return _split_solution(system, OPTIMAL, choi + j2, j2, "dual", best["lower"],
+                           steps), choi, best["duals"]
 
 
 def sampling_overhead(
@@ -966,12 +972,9 @@ def _overhead_answer(system: _RecoverySystem, config: SolverConfig | None) -> Ov
     """:func:`sampling_overhead` of the system's pair."""
     cfg = config or SolverConfig()
     ls_residual = _maxabs(system.ls_gap)
-    if ls_residual > cfg.eps_infeasible:
-        solution = _solution(INFEASIBLE, None, {"J": system.choi_ls}, {}, ls_residual,
-                             {"method": "least_squares"})
-        return OverheadResult(status=INFEASIBLE, nu=math.inf, solution=solution)
-
-    if not system.excludes_psd(system.target.dim * cfg.eps_feasible):
+    # every solution J = J_ls + N y has the residual of J_ls
+    ls_status = cfg.verdict(ls_residual)
+    if ls_status != INFEASIBLE and not system.excludes_psd(system.target.dim * cfg.eps_feasible):
         choi, residual = system.petz
         if residual <= cfg.eps_feasible:
             blocks = {"J1": choi.matrix, "J2": np.zeros_like(choi.matrix)}
@@ -980,11 +983,10 @@ def _overhead_answer(system: _RecoverySystem, config: SolverConfig | None) -> Ov
             return OverheadResult(status=OPTIMAL, nu=0.0, c1=1.0, c2=0.0, choi_difference=choi,
                                   certificate_residual=residual, solution=solution)
 
-    if ls_residual > cfg.eps_feasible:
-        # the dead zone: every solution J = J_ls + N y has the residual of J_ls
-        solution = _solution(MAX_ITER, None, {"J": system.choi_ls}, {}, ls_residual,
+    if ls_status != FEASIBLE:
+        solution = _solution(ls_status, None, {"J": system.choi_ls}, {}, ls_residual,
                              {"method": "least_squares"})
-        return OverheadResult(status=MAX_ITER, nu=math.inf, solution=solution)
+        return OverheadResult(status=ls_status, nu=math.inf, solution=solution)
 
     answer = None if system.null_basis.shape[1] else _dual_overhead(system)
     solution, choi_matrix, _ = answer or _reduced_overhead(system, cfg)
@@ -1020,8 +1022,7 @@ def _cptp_answer(system: _RecoverySystem, config: SolverConfig | None):
     """:func:`cptp_certify` of the system's pair."""
     cfg = config or SolverConfig()
     choi, residual = system.petz
-    status = FEASIBLE if residual <= cfg.eps_feasible else (
-        INFEASIBLE if residual > cfg.eps_infeasible else MAX_ITER)
+    status = cfg.verdict(residual)
     solution = _solution(status, 0.0, {"J": choi.matrix}, {}, residual, {"method": "petz"})
     return (solution, choi, residual) if status == FEASIBLE else (solution, None, None)
 

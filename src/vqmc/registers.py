@@ -401,6 +401,8 @@ def state_from_dict(payload: dict) -> DensityOperator:
             part = None
         if part is None:
             raise ValueError(f"state payload {key!r} must be a matrix of numbers")
+        if not np.isfinite(part).all():
+            raise ValueError(f"state payload {key!r} has non-finite entries (NaN or inf)")
         parts.append(part)
     real, imag = parts
     if real.shape != imag.shape:

@@ -27,6 +27,17 @@ def run_json(capsys, *argv):
     return code, json.loads(out)
 
 
+def usage_error(capsys, *argv) -> str:
+    """Run ``vqmc *argv``, expect argparse to reject it with exit code 1, and
+    return stderr."""
+    with pytest.raises(SystemExit) as caught:
+        cli.main(list(argv))
+    captured = capsys.readouterr()
+    assert caught.value.code == cli.EXIT_ERROR and captured.out == ""
+    assert captured.err.startswith("usage: vqmc")
+    return captured.err
+
+
 class TestStateCommand:
     def test_w4_payload(self, capsys):
         code, payload = run_json(capsys, "state", "W4")
@@ -67,6 +78,15 @@ class TestStateCommand:
     def test_unwritable_path(self, capsys, tmp_path):
         code, _, err = run(capsys, "state", "W4", "--out", str(tmp_path / "no" / "w4.json"))
         assert code == 1 and "error" in err
+
+    def test_verbose_is_not_offered(self, capsys):
+        assert "unrecognized arguments: --verbose" in usage_error(capsys, "state", "W4",
+                                                                  "--verbose")
+
+    def test_pretty_indents_the_payload(self, capsys):
+        _, out, _ = run(capsys, "state", "W4", "--pretty")
+        assert out.startswith('{\n "labels"')
+        assert json.loads(out) == reg.state_to_dict(reg.make_state("W4"))
 
 
 class TestInclusionCommand:
@@ -352,6 +372,24 @@ class TestDemoCommand:
         assert rows[0.5]["hptp"] == "INFEASIBLE" and rows[0.5]["nu"] == "inf"
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv, message", [
+        (("certify", "--builtin", "W4"), "the following arguments are required: --mode"),
+        (("state", "W4", "--bogus"), "unrecognized arguments: --bogus"),
+        (("sweep", "--max-iter", "x"), "argument --max-iter: invalid int value: 'x'"),
+    ])
+    def test_exit_1_with_the_argparse_message(self, capsys, argv, message):
+        # 2 would read as "infeasible"
+        assert f"error: {message}" in usage_error(capsys, *argv)
+
+    @pytest.mark.parametrize("argv", [("--version",), ("--help",), ("certify", "--help")])
+    def test_help_and_version_exit_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as caught:
+            cli.main(list(argv))
+        assert caught.value.code == 0
+        assert capsys.readouterr().out
+
+
 class TestReportContract:
     def test_deterministic_except_timestamp(self, capsys):
         _, first = run_json(capsys, "inclusion", "--builtin", "W4")
@@ -445,6 +483,38 @@ class TestImportFloor:
                 "assert abs(result.nu - math.log2(3)) < 1e-12, result.nu\n"
                 "assert 'scipy' not in sys.modules, 'scipy was imported'")
         subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def run_process(*argv, cwd=None) -> subprocess.CompletedProcess:
+    """``python -m vqmc.cli *argv`` in a fresh interpreter."""
+    return subprocess.run([sys.executable, "-m", "vqmc.cli", *argv], cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True)
+
+
+class TestProcessBoundary:
+    @pytest.mark.parametrize("argv, code", [
+        (("certify", "--builtin", "RHO2", "--mode", "cptp"), 0),
+        (("certify", "--builtin", "W4"), 1),
+        (("inclusion", "MISSING.json"), 1),
+        (("certify", "--builtin", "GHZ4", "--mode", "cptp"), 2),
+        # GHZ4's Petz residual 0.5 lies between the two tolerances
+        (("certify", "--builtin", "GHZ4", "--mode", "cptp",
+          "--eps-feas", "0.1", "--eps-infeasible", "0.9"), 3),
+    ], ids=["pass", "usage", "io", "fail", "undetermined"])
+    def test_documented_exit_codes(self, tmp_path, argv, code):
+        assert run_process(*argv, cwd=tmp_path).returncode == code
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan], ids=["Infinity", "NaN"])
+    def test_non_finite_state_file_prints_one_error_line(self, tmp_path, value):
+        payload = reg.state_to_dict(reg.make_state("W4"))
+        payload["re"][0][0] = value
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(payload))
+        proc = run_process("inclusion", str(path))
+        assert proc.returncode == 1 and proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert lines[0].startswith("error: ") and "non-finite" in lines[0]
 
 
 class TestLeakPayload:

@@ -112,6 +112,16 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="tolerances must be finite and positive"):
             SolverConfig(**{field: value})
 
+    @pytest.mark.parametrize("residual, status", [
+        (0.0, conic.FEASIBLE), (1e-3, conic.FEASIBLE), (1.5e-3, conic.MAX_ITER),
+        (1e-2, conic.MAX_ITER), (1.5e-2, conic.INFEASIBLE), (math.inf, conic.INFEASIBLE),
+        (math.nan, conic.MAX_ITER),
+    ])
+    def test_config_verdict_bounds_the_dead_zone(self, residual, status):
+        # both thresholds belong to the verdict below them
+        config = SolverConfig(eps_feasible=1e-3, eps_infeasible=1e-2)
+        assert config.verdict(residual) == status
+
     @pytest.mark.parametrize("where", [
         "equality block", "equality scalar", "rhs", "objective block", "objective scalar",
     ])
@@ -421,6 +431,16 @@ class TestSamplingOverhead:
         result = conic.sampling_overhead(ghz3, target)
         assert result.c1 + result.c2 >= 1.0 - 1e-7
         assert result.nu >= -1e-7
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"nu": 0.0, "c1": 1.0}, "finite overhead requires c1 and c2"),
+        ({"nu": 1.0, "c1": 1.0, "c2": -1.0}, "channel weights must be nonnegative"),
+        ({"nu": 1.0, "c1": 2.0, "c2": 0.5}, "trace preservation forces c1 - c2 = 1"),
+        ({"nu": -1.0, "c1": 1.0, "c2": 0.0}, "overhead cannot be negative"),
+    ])
+    def test_result_rejects_an_inconsistent_overhead(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            conic.OverheadResult(status=conic.OPTIMAL, **fields)
 
 
 class TestSweep:
@@ -1156,6 +1176,18 @@ class TestDualRoute:
             result = conic.sampling_overhead(marginal, target)
             assert result.status == conic.OPTIMAL
             assert result.solution.debug["method"] == "dual"
+
+    def test_sphere_ascent_out_of_steps_falls_back_to_the_interior_point(self, monkeypatch):
+        marginal, target = DUAL_CASES["hptp #0 (sphere)"]
+        uncapped = conic.sampling_overhead(marginal, target)
+        # the first ball step reaches the sphere, whose ascent then stops
+        # after the one Newton step allowed, short of closing the gap
+        monkeypatch.setattr(conic, "_DUAL_STEPS", 1)
+        assert conic._dual_overhead(conic._RecoverySystem(marginal, target, "C")) is None
+        result = conic.sampling_overhead(marginal, target)
+        assert result.status == conic.OPTIMAL
+        assert result.solution.debug["method"] == "interior_point"
+        assert result.c1 + result.c2 == pytest.approx(uncapped.c1 + uncapped.c2, abs=1e-9)
 
     def test_unmet_bounds_fall_back_to_the_interior_point(self, monkeypatch):
         monkeypatch.setattr(conic, "_DUAL_STEPS", 0)

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -299,6 +300,14 @@ class TestJsonFormat:
         with pytest.raises(ValueError) as caught:
             reg.state_from_dict(payload)
         assert str(caught.value) == f"state payload {key!r} must be a matrix of numbers"
+
+    @pytest.mark.parametrize("key", ["re", "im"])
+    @pytest.mark.parametrize("entry", [math.inf, -math.inf, math.nan])
+    def test_rejects_a_non_finite_entry(self, key, entry):
+        payload = {"labels": ["A"], "re": [[0.5, 0.0], [0.0, 0.5]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+        payload[key][1][0] = entry
+        with pytest.raises(ValueError, match=f"'{key}' has non-finite entries"):
+            reg.state_from_dict(payload)
 
     def test_round_trip_of_a_complex_state_is_lossless(self, tmp_path, rng):
         matrix = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
