@@ -215,7 +215,7 @@ def cmd_sweep(args) -> int:
     out = _report(
         "sweep",
         {"family": "MIX", "grid": grid},
-        report.to_dict(),
+        report.to_dict(args.verbose),
         config.to_dict(),
     )
     _print(out, args)
@@ -223,11 +223,14 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_demo(args) -> int:
+    if args.name == "two_qubit_recovery":
+        if (args.max_iter, args.eps_feas, args.eps_infeasible) != (None, None, None):
+            raise UsageError("demo two_qubit_recovery runs no solver; --max-iter, --eps-feas "
+                             "and --eps-infeasible do not apply")
+        return _demo_two_qubit_recovery(args)
     config = _solver_config(args)
     if args.name == "append_channel":
         return _demo_append_channel(args, config)
-    if args.name == "two_qubit_recovery":
-        return _demo_two_qubit_recovery(args)
     if args.name == "nonconvexity":
         return _demo_nonconvexity(args, config)
     raise UsageError(f"unknown demo {args.name!r}")
@@ -310,6 +313,8 @@ def _demo_nonconvexity(args, config) -> int:
             "hptp": row.hptp_status,
             "nu": row.nu,
         })
+        if args.verbose:
+            rows[-1].update(cptp_method=row.cptp_method, hptp_method=row.hptp_method)
     midpoint = rows[1]
     results = {
         "rows": rows,

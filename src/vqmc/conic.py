@@ -5,17 +5,20 @@ Both recovery questions are answered from one :class:`_RecoverySystem` per
 its layout (rest, C, ext), and on first use builds the Petz map and solves
 the real linear system M svec(J) = b (trace preservation plus the
 entrywise reconstruction of the target from the marginal), which no other
-code forms. :func:`recoverability_sweep` asks one system both questions.
-Complex Hermitian d x d variables are vectorized to real vectors of length
-d^2 (diagonal entries, then sqrt(2)-scaled real and imaginary upper
-triangles), which preserves inner products and keeps all constraint data
-real.
+code forms. :func:`cptp_certify` and :func:`sampling_overhead` take it from
+a one-slot cache, so asking both questions of the same two state objects,
+as :func:`recoverability_sweep` does, builds one system. Complex Hermitian
+d x d variables are vectorized to real vectors of length d^2 (diagonal
+entries, then sqrt(2)-scaled real and imaginary upper triangles), which
+preserves inner products and keeps all constraint data real.
 
-Channel recovery is decided without an SDP: by Petz's theorem a channel on
-C rebuilds the state iff the Petz map does, so :func:`cptp_certify`
-verifies the system's Petz Choi matrix by the independent Choi application
-and classifies the residual with the solver thresholds, without factoring
-the linear system.
+Channel recovery is decided without an SDP. :func:`cptp_certify` reads the
+least-squares residual of the linear system first: above
+``eps_infeasible`` no trace-preserving map rebuilds the state, and no Petz
+map is built. Otherwise, by Petz's theorem a channel on C rebuilds the
+state iff the Petz map does, so it verifies the system's Petz Choi matrix
+by the independent Choi application and classifies that residual with the
+solver thresholds.
 
 :func:`sampling_overhead` first solves the linear system in the
 least-squares sense without forming it (:class:`_RecoverySystem`): the
@@ -934,6 +937,32 @@ def _dual_overhead(system: _RecoverySystem):
                            steps), choi, best["duals"]
 
 
+# The last pair's system; it holds only data that no SolverConfig affects.
+_last_system: _RecoverySystem | None = None
+
+
+def _system(marginal: DensityOperator, target: DensityOperator, act_on: str) -> _RecoverySystem:
+    """The pair's :class:`_RecoverySystem`, kept from the last call when
+    ``marginal`` and ``target`` are the same objects and ``act_on`` is equal,
+    so asking both questions of a pair validates and solves it once. A frozen
+    DensityOperator owns a read-only copy of its matrix, and the slot keeps
+    both objects alive, so identity means the same state."""
+    global _last_system
+    last = _last_system
+    if last is not None and last.marginal is marginal and last.target is target \
+            and last.act_on == act_on:
+        return last
+    _last_system = _RecoverySystem(marginal, target, act_on)
+    return _last_system
+
+
+def _least_squares_solution(system: _RecoverySystem, status: str) -> ConicSolution:
+    """A verdict that the least-squares residual decides alone: the
+    least-squares J as block ``J`` and its max-abs residual."""
+    return _solution(status, None, {"J": system.choi_ls}, {}, _maxabs(system.ls_gap),
+                     {"method": "least_squares"})
+
+
 def sampling_overhead(
     marginal: DensityOperator,
     target: DensityOperator,
@@ -965,15 +994,10 @@ def sampling_overhead(
     ``config.max_iterations`` Newton steps) for a null space, or when the
     dual's bounds do not meet.
     """
-    return _overhead_answer(_RecoverySystem(marginal, target, act_on), config)
-
-
-def _overhead_answer(system: _RecoverySystem, config: SolverConfig | None) -> OverheadResult:
-    """:func:`sampling_overhead` of the system's pair."""
     cfg = config or SolverConfig()
-    ls_residual = _maxabs(system.ls_gap)
+    system = _system(marginal, target, act_on)
     # every solution J = J_ls + N y has the residual of J_ls
-    ls_status = cfg.verdict(ls_residual)
+    ls_status = cfg.verdict(_maxabs(system.ls_gap))
     if ls_status != INFEASIBLE and not system.excludes_psd(system.target.dim * cfg.eps_feasible):
         choi, residual = system.petz
         if residual <= cfg.eps_feasible:
@@ -984,9 +1008,8 @@ def _overhead_answer(system: _RecoverySystem, config: SolverConfig | None) -> Ov
                                   certificate_residual=residual, solution=solution)
 
     if ls_status != FEASIBLE:
-        solution = _solution(ls_status, None, {"J": system.choi_ls}, {}, ls_residual,
-                             {"method": "least_squares"})
-        return OverheadResult(status=ls_status, nu=math.inf, solution=solution)
+        return OverheadResult(status=ls_status, nu=math.inf,
+                              solution=_least_squares_solution(system, ls_status))
 
     answer = None if system.null_basis.shape[1] else _dual_overhead(system)
     solution, choi_matrix, _ = answer or _reduced_overhead(system, cfg)
@@ -1007,20 +1030,31 @@ def cptp_certify(
     config: SolverConfig | None = None,
     act_on: str = "C",
 ) -> tuple[ConicSolution, ChoiOperator | None, float | None]:
-    """Decide channel recovery with the Petz map; on FEASIBLE, return its
-    Choi matrix and verified reconstruction residual as the certificate.
+    """Decide channel recovery; on FEASIBLE, return the Petz map's Choi
+    matrix and verified reconstruction residual as the certificate.
 
-    The residual is FEASIBLE up to ``eps_feasible``, INFEASIBLE above
+    The least-squares residual r_ls of the recovery system decides first:
+    above ``eps_infeasible`` no trace-preserving map, a channel included,
+    rebuilds the state, and the answer is INFEASIBLE with
+    ``{"method": "least_squares"}``, ``primal_residual`` = max|r_ls| and no
+    Petz map built. This cannot overturn a Petz FEASIBLE when
+    ``eps_infeasible > d eps_feasible`` for the d x d target: the Petz Choi
+    matrix is TP, so its svec is a candidate of the least squares and
+    |r_ls|_inf <= |r_ls|_2 <= |T - Petz(rho)|_F <= d max|T - Petz(rho)|,
+    which a Petz FEASIBLE keeps at most d eps_feasible. Under a
+    configuration without that margin, and for residuals at or below
+    ``eps_infeasible``, the Petz map decides (``{"method": "petz"}``): by
+    Petz's theorem a channel on C rebuilds the state iff it does, and its
+    verified residual is FEASIBLE up to ``eps_feasible``, INFEASIBLE above
     ``eps_infeasible`` and MAX_ITER (the dead zone) in between.
     :func:`build_cptp_feasibility` with :func:`solve` is the SDP route to the
     same verdict.
     """
-    return _cptp_answer(_RecoverySystem(marginal, target, act_on), config)
-
-
-def _cptp_answer(system: _RecoverySystem, config: SolverConfig | None):
-    """:func:`cptp_certify` of the system's pair."""
     cfg = config or SolverConfig()
+    system = _system(marginal, target, act_on)
+    if (cfg.eps_infeasible > system.target.dim * cfg.eps_feasible
+            and cfg.verdict(_maxabs(system.ls_gap)) == INFEASIBLE):
+        return _least_squares_solution(system, INFEASIBLE), None, None
     choi, residual = system.petz
     status = cfg.verdict(residual)
     solution = _solution(status, 0.0, {"J": choi.matrix}, {}, residual, {"method": "petz"})
@@ -1037,8 +1071,11 @@ class SweepRow:
     hptp_status: str | None = None
     nu: float | None = None
     error: str | None = None
+    cptp_method: str | None = None
+    hptp_method: str | None = None
 
-    def to_dict(self) -> dict:
+    def to_dict(self, verbose: bool = False) -> dict:
+        """The row's report; ``verbose`` adds the route that decided each answer."""
         out = {
             "p": self.p,
             "inclusion": self.inclusion_verdict,
@@ -1048,6 +1085,9 @@ class SweepRow:
             "hptp": self.hptp_status,
             "nu": self.nu,
         }
+        if verbose:
+            out["cptp_method"] = self.cptp_method
+            out["hptp_method"] = self.hptp_method
         if self.error is not None:
             out["error"] = self.error
         return out
@@ -1058,9 +1098,9 @@ class SweepReport:
     rows: tuple
     first_inclusion_pass: float | None
 
-    def to_dict(self) -> dict:
+    def to_dict(self, verbose: bool = False) -> dict:
         return {
-            "rows": [row.to_dict() for row in self.rows],
+            "rows": [row.to_dict(verbose) for row in self.rows],
             "first_inclusion_pass_p": self.first_inclusion_pass,
         }
 
@@ -1079,9 +1119,9 @@ def recoverability_sweep(family, grid, config: SolverConfig | None = None) -> Sw
             state = family(p)
             marginal = partial_trace(state, state.labels[-1])
             inclusion = markov.kernel_inclusion_check(marginal)
-            system = _RecoverySystem(marginal, state, marginal.labels[-1])
-            cptp_solution, _, cptp_residual = _cptp_answer(system, config)
-            overhead = _overhead_answer(system, config)
+            act_on = marginal.labels[-1]
+            cptp_solution, _, cptp_residual = cptp_certify(marginal, state, config, act_on)
+            overhead = sampling_overhead(marginal, state, config, act_on)
             rows.append(
                 SweepRow(
                     p=p,
@@ -1091,6 +1131,8 @@ def recoverability_sweep(family, grid, config: SolverConfig | None = None) -> Sw
                     cptp_residual=cptp_residual,
                     hptp_status=overhead.status,
                     nu=overhead.nu,
+                    cptp_method=cptp_solution.debug["method"],
+                    hptp_method=overhead.solution.debug["method"],
                 )
             )
         except Exception as exc:  # noqa: BLE001 - sweep must keep going per point

@@ -67,6 +67,16 @@ def random_cptp_choi(rng: np.random.Generator, env_dim: int = 2) -> np.ndarray:
     return choi
 
 
+@pytest.fixture(autouse=True)
+def empty_system_slot():
+    """Start every test with conic's one-slot recovery-system cache empty, so
+    that no test counts work against a system an earlier test built for one
+    of the shared module-level pairs."""
+    conic = sys.modules.get("vqmc.conic")
+    if conic is not None:
+        conic._last_system = None
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240917)

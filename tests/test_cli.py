@@ -344,6 +344,19 @@ class TestSweepCommand:
     def test_single_point_grid(self):
         assert cli._parse_grid("0.5:1:1") == [0.5]
 
+    def test_verbose_adds_the_deciding_routes(self, capsys):
+        code, plain = run_json(capsys, "sweep", "--grid", "0,0.5,1")
+        code_verbose, verbose = run_json(capsys, "sweep", "--grid", "0,0.5,1", "--verbose")
+        assert code == code_verbose == 0
+        assert set(verbose) == set(plain)
+        routes = [(row.pop("cptp_method"), row.pop("hptp_method"))
+                  for row in verbose["results"]["rows"]]
+        assert verbose["results"] == plain["results"]
+        # GHZ4 and MIX(0.5) fail the least squares; MIX(1) = W4 has a unique
+        # extension, which the Petz map does not recover and the dual prices
+        assert routes == [("least_squares", "least_squares"), ("least_squares", "least_squares"),
+                          ("petz", "dual")]
+
 
 class TestDemoCommand:
     def test_append_channel(self, capsys):
@@ -370,6 +383,24 @@ class TestDemoCommand:
         assert rows[0.0]["hptp"] == "OPTIMAL"
         assert rows[1.0]["hptp"] == "OPTIMAL"
         assert rows[0.5]["hptp"] == "INFEASIBLE" and rows[0.5]["nu"] == "inf"
+
+    def test_nonconvexity_verbose_adds_the_deciding_routes(self, capsys):
+        code, plain = run_json(capsys, "demo", "nonconvexity")
+        code_verbose, verbose = run_json(capsys, "demo", "nonconvexity", "--verbose")
+        assert code == code_verbose
+        assert set(verbose) == set(plain)
+        routes = [(row.pop("cptp_method"), row.pop("hptp_method"))
+                  for row in verbose["results"]["rows"]]
+        assert verbose["results"] == plain["results"]
+        # RHO2, the midpoint, W4
+        assert routes == [("petz", "petz"), ("least_squares", "least_squares"), ("petz", "dual")]
+
+    @pytest.mark.parametrize("flag, value", [("--max-iter", "1"), ("--eps-feas", "1e-3"),
+                                             ("--eps-infeasible", "1e-2")])
+    def test_two_qubit_recovery_refuses_solver_flags(self, capsys, flag, value):
+        code, out, err = run(capsys, "demo", "two_qubit_recovery", flag, value)
+        assert code == cli.EXIT_ERROR and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: demo two_qubit_recovery runs no")
 
 
 class TestUsageErrors:

@@ -599,6 +599,10 @@ PETZ_CASES = petz_cases()
 PETZ_RECOVERABLE = {"RHO2", "appended GHZ3", "pure C, product"} | {
     f"markov #{k}" for k in range(4)
 }
+# cases whose least-squares residual exceeds eps_infeasible
+PETZ_LEAST_SQUARES = {"GHZ4", "MIX(0.5)", "pure C, B-D Bell pair"} | {
+    f"generic #{k}" for k in range(4)
+}
 
 
 def assert_valid_recovery(marginal, target, choi):
@@ -622,7 +626,13 @@ class TestPetzVerdict:
         recoverable = name in PETZ_RECOVERABLE
         assert (abs(cmi) <= 1e-10) is recoverable and (cmi > 1e-6) is not recoverable
         assert solution.status == (conic.FEASIBLE if recoverable else conic.INFEASIBLE)
-        assert solution.iterations == 0 and solution.debug == {"method": "petz"}
+        # a Farkas residual decides before the Petz map, on exactly these cases
+        ls_residual = conic._maxabs(conic._RecoverySystem(marginal, target, "C").ls_gap)
+        method = "least_squares" if ls_residual > SolverConfig().eps_infeasible else "petz"
+        assert (method == "least_squares") is (name in PETZ_LEAST_SQUARES)
+        assert solution.iterations == 0 and solution.debug == {"method": method}
+        if method == "least_squares":
+            assert solution.primal_residual == ls_residual
         if recoverable:
             assert residual == solution.primal_residual <= SolverConfig().eps_feasible
             assert_valid_recovery(marginal, target, choi)
@@ -1401,8 +1411,10 @@ class TestOneSystemPerState:
     def test_overhead_takes_the_least_squares_gap_once(self, monkeypatch):
         marginal, target, act_on = LAYOUT_CASES["W4"]
         expected = conic.sampling_overhead(marginal, target, act_on=act_on)
+        # a fresh pair of objects, so the call builds its own system
+        w4 = reg.make_state("W4")
         counts = count_calls(monkeypatch, [(conic._RecoverySystem, "gap")])
-        result = conic.sampling_overhead(marginal, target, act_on=act_on)
+        result = conic.sampling_overhead(reg.partial_trace(w4, "D"), w4, act_on=act_on)
         # the least-squares J's gap, shared by the residual test and
         # excludes_psd, then the dual route's certificate residual
         assert counts["gap"] == 2
@@ -1418,20 +1430,183 @@ class TestOneSystemPerState:
         system = conic._RecoverySystem(*LAYOUT_CASES[name])
         assert system.ls_gap.tobytes() == system.gap(system.choi_ls).tobytes()
 
-    def test_nonconvexity_demo_builds_one_petz_map_per_state(self, monkeypatch, capsys):
-        counts = count_calls(monkeypatch, [(conic, "_petz_choi"), (markov, "apply_choi")])
+    def test_nonconvexity_demo_builds_a_petz_map_only_at_the_endpoints(self, monkeypatch,
+                                                                      capsys):
+        counts = count_calls(monkeypatch, [(conic._RecoverySystem, "__init__"),
+                                           (conic, "_petz_choi"), (markov, "apply_choi")])
         assert cli.main(["demo", "nonconvexity"]) == cli.EXIT_PASS
         capsys.readouterr()
-        # RHO2, the midpoint and W4: one Petz map each, verified once, and
-        # W4's overhead certificate
-        assert counts == {"_petz_choi": 3, "apply_choi": 4}
+        # one system per state; RHO2 and W4 build and verify one Petz map each,
+        # the midpoint's least-squares residual rules it out without one, and
+        # W4's overhead certificate is the third Choi application
+        assert counts == {"__init__": 3, "_petz_choi": 2, "apply_choi": 3}
 
     @pytest.mark.parametrize("name", list(LAYOUT_CASES))
-    def test_cptp_certify_takes_no_svd(self, monkeypatch, name):
-        def refuse(*args, **kwargs):
-            raise AssertionError("cptp_certify factored the least-squares system")
-
-        monkeypatch.setattr(np.linalg, "svd", refuse)
+    def test_cptp_certify_builds_petz_only_past_the_least_squares(self, monkeypatch, name):
         marginal, target, act_on = LAYOUT_CASES[name]
+        ls_residual = conic._maxabs(conic._RecoverySystem(marginal, target, act_on).ls_gap)
+        excluded = ls_residual > SolverConfig().eps_infeasible
+        counts = count_calls(monkeypatch, [(conic, "_petz_choi"), (np.linalg, "svd")])
         solution, _, _ = conic.cptp_certify(marginal, target, act_on=act_on)
         assert solution.status in (conic.FEASIBLE, conic.INFEASIBLE)
+        assert solution.debug == {"method": "least_squares" if excluded else "petz"}
+        # one SVD of the fit matrix R for the least squares, and the Petz map
+        # only where the least-squares residual leaves it a chance
+        assert counts == {"_petz_choi": 0 if excluded else 1, "svd": 1}
+
+
+# ---------------------------------------------------------------------------
+# The one-slot system cache, and the least-squares answer before the Petz map
+# ---------------------------------------------------------------------------
+
+DEAD_ZONE = SolverConfig(eps_feasible=0.1, eps_infeasible=0.9)
+
+
+def fresh_pair(name):
+    """A new (marginal, target) of a builtin: equal to LAYOUT_CASES', other objects."""
+    state = reg.make_state(name)
+    return reg.partial_trace(state, "D"), state
+
+
+def answers(marginal, target, config):
+    """What a report shows of both answers, as comparable data."""
+    solution = conic.cptp_certify(marginal, target, config)[0]
+    overhead = conic.sampling_overhead(marginal, target, config)
+    return (solution.to_dict(), solution.debug, overhead.to_dict(), overhead.solution.to_dict(),
+            overhead.solution.debug)
+
+
+class TestSystemCache:
+    def test_both_questions_of_one_pair_build_one_system(self, monkeypatch):
+        marginal, target, act_on = LAYOUT_CASES["W4"]
+        counts = count_calls(monkeypatch, [(conic._RecoverySystem, "__init__"),
+                                           (conic, "_petz_choi")])
+        conic.cptp_certify(marginal, target, act_on=act_on)
+        conic.sampling_overhead(marginal, target, act_on=act_on)
+        conic.cptp_certify(marginal, target, act_on=act_on)
+        # an equal act_on string made at run time is the same layout
+        conic.sampling_overhead(marginal, target, act_on="".join(["C"]))
+        assert counts == {"__init__": 1, "_petz_choi": 1}
+        assert conic._last_system.marginal is marginal and conic._last_system.target is target
+
+    def test_equal_but_distinct_objects_miss(self, monkeypatch):
+        marginal, target = fresh_pair("W4")
+        twin_marginal, twin_target = fresh_pair("W4")
+        assert np.array_equal(marginal.matrix, twin_marginal.matrix)
+        assert np.array_equal(target.matrix, twin_target.matrix)
+        counts = count_calls(monkeypatch, [(conic._RecoverySystem, "__init__")])
+        for pair in ((marginal, target), (twin_marginal, target), (twin_marginal, twin_target),
+                     (marginal, twin_target)):
+            conic.cptp_certify(*pair)
+        assert counts["__init__"] == 4
+
+    def test_a_different_act_on_misses(self):
+        marginal, target, _ = LAYOUT_CASES["W4"]
+        conic.cptp_certify(marginal, target)
+        system = conic._last_system
+        # the cached layout would answer; a new system validates the pair
+        with pytest.raises(ValueError, match="extension inserted after 'B'"):
+            conic.cptp_certify(marginal, target, act_on="B")
+        assert conic._last_system is system
+
+    def test_a_pair_that_fails_validation_is_never_kept(self):
+        marginal = LAYOUT_CASES["GHZ4"][0]
+        target = LAYOUT_CASES["W4"][1]
+        for call in (conic.cptp_certify, conic.sampling_overhead, conic.cptp_certify):
+            with pytest.raises(ValueError, match="not the partial trace"):
+                call(marginal, target)
+            assert conic._last_system is None
+
+    def test_each_config_gets_its_own_verdict(self, monkeypatch):
+        marginal, target, _ = LAYOUT_CASES["GHZ4"]
+        expected = {name: answers(*fresh_pair("GHZ4"), config)
+                    for name, config in (("default", None), ("dead zone", DEAD_ZONE))}
+        counts = count_calls(monkeypatch, [(conic._RecoverySystem, "__init__")])
+        got = {name: answers(marginal, target, config)
+               for name, config in (("dead zone", DEAD_ZONE), ("default", None))}
+        assert answers(marginal, target, DEAD_ZONE) == got["dead zone"]
+        assert counts["__init__"] == 1
+        assert got == expected
+        cptp, cptp_debug, overhead = got["default"][:3]
+        assert (cptp["status"], cptp_debug, overhead["status"]) == (
+            conic.INFEASIBLE, {"method": "least_squares"}, conic.INFEASIBLE)
+        # GHZ4's Petz residual 0.5 lies inside the dead zone (0.1, 0.9]
+        cptp, cptp_debug, overhead = got["dead zone"][:3]
+        assert (cptp["status"], cptp_debug, overhead["status"]) == (
+            conic.MAX_ITER, {"method": "petz"}, conic.MAX_ITER)
+        assert cptp["primal_residual"] == pytest.approx(0.5, abs=1e-12)
+
+
+def bench_generators():
+    """bench/generators.py, the benchmark's corpus generators, imported
+    without writing a bytecode cache."""
+    import importlib.util
+    import pathlib
+    import sys
+
+    path = pathlib.Path(__file__).resolve().parent.parent / "bench" / "generators.py"
+    spec = importlib.util.spec_from_file_location("bench_generators", path)
+    module = importlib.util.module_from_spec(spec)
+    writes_bytecode = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = writes_bytecode
+    return module
+
+
+def corpus_states():
+    """Seeded states from every benchmark corpus generator, the builtins and
+    the MIX and CONVEX_MIX grids."""
+    gen = bench_generators()
+    rng = np.random.default_rng(2028)
+    states = {}
+    for k in range(12):
+        states[f"generic #{k}"] = gen.generic_state(rng)
+        states[f"low-rank #{k}"] = gen.low_rank_state(rng)
+        states[f"markov #{k}"] = gen.markov_state(rng)[0]
+        states[f"virtual-only #{k}"] = gen.virtual_only_state(rng)[0]
+        states[f"hptp-extension #{k}"] = gen.hptp_extension_state(rng)[0]
+    for k in range(21):
+        states[f"MIX({k / 20:g})"] = gen.mix(k / 20)
+        states[f"CONVEX_MIX({k / 20:g})"] = gen.convex_mix(k / 20)
+    states.update(W4=gen.w4(), GHZ4=gen.ghz4(), RHO2=gen.rho2())
+    return states
+
+
+class TestLeastSquaresFirst:
+    def test_without_the_margin_the_petz_map_decides(self, monkeypatch):
+        config = SolverConfig(eps_feasible=1e-6, eps_infeasible=1e-5)
+        marginal, target, act_on = LAYOUT_CASES["GHZ4"]
+        assert config.eps_infeasible <= target.dim * config.eps_feasible
+        petz_residual = conic._RecoverySystem(marginal, target, act_on).petz[1]
+        counts = count_calls(monkeypatch, [(conic, "_petz_choi")])
+        solution, choi, residual = conic.cptp_certify(marginal, target, config, act_on)
+        assert counts["_petz_choi"] == 1
+        assert solution.status == conic.INFEASIBLE and solution.debug == {"method": "petz"}
+        assert solution.primal_residual == petz_residual
+        assert choi is None and residual is None
+        # with the default margin the least squares decides the same pair
+        default = conic.cptp_certify(marginal, target, act_on=act_on)[0]
+        assert default.debug == {"method": "least_squares"}
+        assert default.primal_residual == pytest.approx(1 / math.sqrt(2), abs=1e-12)
+
+    def test_the_shortcut_never_hides_a_petz_recovery(self):
+        eps_feasible = SolverConfig().eps_feasible
+        decided = {"least_squares": 0, "petz": 0}
+        for name, matrix in corpus_states().items():
+            target = labeled("ABCD", matrix)
+            marginal = reg.partial_trace(target, "D")
+            solution, _, _ = conic.cptp_certify(marginal, target)
+            method = solution.debug["method"]
+            decided[method] += 1
+            if method != "least_squares":
+                continue
+            assert solution.status == conic.INFEASIBLE, name
+            choi = reg.ChoiOperator(
+                matrix=conic._petz_choi(*oracles.petz_marginals(matrix, "ABCD", "C", ("D",))),
+                input_label="C", copy_label="C'", extension_labels=("D",))
+            residual = markov.verify_recovery(target, marginal, choi, act_on="C")
+            assert residual > eps_feasible, f"{name}: the Petz map recovers within {residual:.3e}"
+        assert decided["least_squares"] >= 40 and decided["petz"] >= 40, decided
