@@ -12,26 +12,23 @@ d x d variables are vectorized to real vectors of length d^2 (diagonal
 entries, then sqrt(2)-scaled real and imaginary upper triangles), which
 preserves inner products and keeps all constraint data real.
 
-Channel recovery is decided without an SDP. :func:`cptp_certify` reads the
-least-squares residual of the linear system first: above
-``eps_infeasible`` no trace-preserving map rebuilds the state, and no Petz
-map is built. Otherwise, by Petz's theorem a channel on C rebuilds the
-state iff the Petz map does, so it verifies the system's Petz Choi matrix
-by the independent Choi application and classifies that residual with the
-solver thresholds.
+Channel recovery is decided without an SDP by one rule, :func:`_channel`:
+the least-squares residual of the linear system rules out every
+trace-preserving map when it can, and otherwise, by Petz's theorem, the
+Petz map's residual, verified by the independent Choi application, decides.
+:func:`cptp_certify` reports that verdict, and :func:`sampling_overhead`
+answers nu = 0 (``debug == {"method": "petz"}``) exactly when it is FEASIBLE.
 
-:func:`sampling_overhead` first solves the linear system in the
-least-squares sense without forming it (:class:`_RecoverySystem`): the
-system is one rest^2 x 4 matrix R of the marginal repeated on every 2 x 2
-block of J, so one SVD of R gives the min-norm solution, the residual and
-the null space. When the max-abs residual exceeds ``eps_infeasible`` no
+:func:`sampling_overhead` then reads the least-squares solution of the
+linear system, which :class:`_RecoverySystem` computes without forming it:
+the system is one rest^2 x 4 matrix R of the marginal repeated on every
+2 x 2 block of J, so one SVD of R gives the min-norm solution, the residual
+and the null space. When the max-abs residual exceeds ``eps_infeasible`` no
 Hermitian-preserving recovery exists, and it returns INFEASIBLE
 (nu = +inf) with 0 iterations, the least-squares J as block ``J``, that
 residual as ``primal_residual`` and ``debug == {"method": "least_squares"}``.
-Otherwise it takes the system's Petz certificate, unless the least-squares
-J rules it out, and returns nu = 0 when the Petz map recovers the state
-(``debug == {"method": "petz"}``). A residual above ``eps_feasible`` is
-then undetermined (MAX_ITER, 0 iterations, ``{"method": "least_squares"}``).
+A residual above ``eps_feasible`` is then undetermined (MAX_ITER,
+0 iterations, ``{"method": "least_squares"}``).
 The overhead SDP, reduced to the solutions J = J_ls + N y of the same
 system (N its null space from the same SVD), decides the remaining states.
 When N is trivial (a unique extension: W4, every virtual-only and
@@ -525,23 +522,6 @@ class _RecoverySystem:
         """max |M svec(J) - b|."""
         return _maxabs(self.gap(choi))
 
-    def excludes_psd(self, tolerance: float) -> bool:
-        """True when no PSD J has |M svec(J) - b|_2 <= ``tolerance``.
-
-        Decided only when the solution is unique (trivial null space). Then
-        M is injective with sigma_min(M) = sigma_min(R), and any such J has
-        |M (svec J - x_ls)|_2 <= tolerance + |r_ls|_2, so
-        |J - J_ls|_F <= delta = (tolerance + |r_ls|_2) / sigma_min(R); by
-        Weyl's inequality lambda_min(J_ls) >= -delta. Hence
-        lambda_min(J_ls) < -(delta + 1e-12), the margin for rounding, rules
-        every such J out.
-        """
-        if self.null_basis.shape[1]:
-            return False
-        slack = np.linalg.norm(self.ls_gap)
-        delta = (tolerance + slack) / self._factored[2][-1] + 1e-12
-        return bool(np.linalg.eigvalsh(self.choi_ls)[0] < -delta)
-
 
 @dataclass(frozen=True)
 class OverheadResult:
@@ -963,6 +943,28 @@ def _least_squares_solution(system: _RecoverySystem, status: str) -> ConicSoluti
                      {"method": "least_squares"})
 
 
+def _channel(system: _RecoverySystem, cfg: SolverConfig):
+    """Whether a channel on act_on recovers the pair, the one rule of both
+    recovery questions: ``(status, petz)``, with ``petz`` the system's Petz
+    certificate ``(ChoiOperator, residual)``, or None when not built.
+
+    By Petz's theorem a channel rebuilds the state iff the Petz map does, so
+    the status is ``cfg.verdict`` of the Petz residual. The least-squares
+    residual r_ls decides first when it can: above ``eps_infeasible`` no
+    trace-preserving map rebuilds the state, and the status is INFEASIBLE
+    with no Petz map built. This cannot overturn a Petz FEASIBLE when
+    ``eps_infeasible > d eps_feasible`` for the d x d target: the Petz Choi
+    matrix is TP, so its svec is a candidate of the least squares and
+    |r_ls|_inf <= |r_ls|_2 <= |T - Petz(rho)|_F <= d max|T - Petz(rho)|,
+    which a Petz FEASIBLE keeps at most d eps_feasible. Without that margin
+    the Petz map decides every pair.
+    """
+    if (cfg.eps_infeasible > system.target.dim * cfg.eps_feasible
+            and cfg.verdict(_maxabs(system.ls_gap)) == INFEASIBLE):
+        return INFEASIBLE, None
+    return cfg.verdict(system.petz[1]), system.petz
+
+
 def sampling_overhead(
     marginal: DensityOperator,
     target: DensityOperator,
@@ -971,19 +973,17 @@ def sampling_overhead(
 ) -> OverheadResult:
     """Minimal quasiprobability cost of recovering ``target`` from ``marginal``.
 
-    Two cases need no SDP. When no Hermitian J with Tr_out J = I rebuilds
-    the target, the answer is nu = +inf, read off the least-squares
-    residual r = b - M x_ls of the linear recovery system M x = b, solved
-    block by block (:class:`_RecoverySystem`): above ``eps_infeasible`` it
-    is a Farkas witness (M'r = 0, b'r = |r|^2 > 0), and any Hermitian
-    solution J = J1 - J2 would split into two PSD blocks with
-    Tr_out J_i = c_i I. When the Petz map recovers the state the answer is
-    nu = 0 with the Petz channel as certificate: trace preservation forces
-    c1 - c2 = 1 with c2 >= 0, so c1 + c2 >= 1 and the channel attains it.
-    The Petz check is skipped when it cannot succeed: the Petz Choi matrix is
-    PSD, and a residual of at most ``eps_feasible`` in each entry of the
-    d x d target bounds its |M svec(J) - b|_2 by d eps_feasible, which
-    :meth:`_RecoverySystem.excludes_psd` may rule out.
+    Two cases need no SDP. When the channel rule of :func:`cptp_certify`
+    (:func:`_channel`) is FEASIBLE, the answer is nu = 0 with the Petz
+    channel as certificate: trace preservation forces c1 - c2 = 1 with
+    c2 >= 0, so c1 + c2 >= 1 and the channel attains it. So nu = 0 exactly
+    when :func:`cptp_certify` answers FEASIBLE. Otherwise, when no Hermitian
+    J with Tr_out J = I rebuilds the target, the answer is nu = +inf, read
+    off the least-squares residual r = b - M x_ls of the linear recovery
+    system M x = b, solved block by block (:class:`_RecoverySystem`): above
+    ``eps_infeasible`` it is a Farkas witness (M'r = 0, b'r = |r|^2 > 0),
+    and any Hermitian solution J = J1 - J2 would split into two PSD blocks
+    with Tr_out J_i = c_i I.
 
     A least-squares residual above ``eps_feasible`` is then undetermined:
     MAX_ITER with nu = +inf at 0 iterations, since every solution has that
@@ -996,17 +996,17 @@ def sampling_overhead(
     """
     cfg = config or SolverConfig()
     system = _system(marginal, target, act_on)
+    status, petz = _channel(system, cfg)
+    if status == FEASIBLE:
+        choi, residual = petz
+        blocks = {"J1": choi.matrix, "J2": np.zeros_like(choi.matrix)}
+        solution = _solution(OPTIMAL, 1.0, blocks, {"c1": 1.0, "c2": 0.0}, residual,
+                             {"method": "petz"})
+        return OverheadResult(status=OPTIMAL, nu=0.0, c1=1.0, c2=0.0, choi_difference=choi,
+                              certificate_residual=residual, solution=solution)
+
     # every solution J = J_ls + N y has the residual of J_ls
     ls_status = cfg.verdict(_maxabs(system.ls_gap))
-    if ls_status != INFEASIBLE and not system.excludes_psd(system.target.dim * cfg.eps_feasible):
-        choi, residual = system.petz
-        if residual <= cfg.eps_feasible:
-            blocks = {"J1": choi.matrix, "J2": np.zeros_like(choi.matrix)}
-            solution = _solution(OPTIMAL, 1.0, blocks, {"c1": 1.0, "c2": 0.0}, residual,
-                                 {"method": "petz"})
-            return OverheadResult(status=OPTIMAL, nu=0.0, c1=1.0, c2=0.0, choi_difference=choi,
-                                  certificate_residual=residual, solution=solution)
-
     if ls_status != FEASIBLE:
         return OverheadResult(status=ls_status, nu=math.inf,
                               solution=_least_squares_solution(system, ls_status))
@@ -1033,30 +1033,22 @@ def cptp_certify(
     """Decide channel recovery; on FEASIBLE, return the Petz map's Choi
     matrix and verified reconstruction residual as the certificate.
 
-    The least-squares residual r_ls of the recovery system decides first:
-    above ``eps_infeasible`` no trace-preserving map, a channel included,
-    rebuilds the state, and the answer is INFEASIBLE with
+    :func:`_channel` decides. When the least-squares residual r_ls rules
+    out every trace-preserving map, the answer is INFEASIBLE with
     ``{"method": "least_squares"}``, ``primal_residual`` = max|r_ls| and no
-    Petz map built. This cannot overturn a Petz FEASIBLE when
-    ``eps_infeasible > d eps_feasible`` for the d x d target: the Petz Choi
-    matrix is TP, so its svec is a candidate of the least squares and
-    |r_ls|_inf <= |r_ls|_2 <= |T - Petz(rho)|_F <= d max|T - Petz(rho)|,
-    which a Petz FEASIBLE keeps at most d eps_feasible. Under a
-    configuration without that margin, and for residuals at or below
-    ``eps_infeasible``, the Petz map decides (``{"method": "petz"}``): by
-    Petz's theorem a channel on C rebuilds the state iff it does, and its
-    verified residual is FEASIBLE up to ``eps_feasible``, INFEASIBLE above
-    ``eps_infeasible`` and MAX_ITER (the dead zone) in between.
+    Petz map built. Otherwise it is the Petz map's verdict
+    (``{"method": "petz"}``): FEASIBLE up to ``eps_feasible``, INFEASIBLE
+    above ``eps_infeasible`` and MAX_ITER (the dead zone) in between, with
+    the verified residual as ``primal_residual``.
     :func:`build_cptp_feasibility` with :func:`solve` is the SDP route to the
     same verdict.
     """
     cfg = config or SolverConfig()
     system = _system(marginal, target, act_on)
-    if (cfg.eps_infeasible > system.target.dim * cfg.eps_feasible
-            and cfg.verdict(_maxabs(system.ls_gap)) == INFEASIBLE):
-        return _least_squares_solution(system, INFEASIBLE), None, None
-    choi, residual = system.petz
-    status = cfg.verdict(residual)
+    status, petz = _channel(system, cfg)
+    if petz is None:
+        return _least_squares_solution(system, status), None, None
+    choi, residual = petz
     solution = _solution(status, 0.0, {"J": choi.matrix}, {}, residual, {"method": "petz"})
     return (solution, choi, residual) if status == FEASIBLE else (solution, None, None)
 

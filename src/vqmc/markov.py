@@ -6,9 +6,9 @@ place: projecting C of a state on (A, B, C) onto |j> and tracing out B
 yields a 4x4 operator on (A, C) whose C slot holds |j><j|. This matches the
 convention in which conditional kernels are two-qubit subspaces.
 
-The kernel-inclusion check is a NECESSARY condition only: a passing verdict
-never certifies that a recovery channel exists. Certification is the job of
-the conic module. It builds its four conditional blocks (both sides, both
+The kernel-inclusion check is the paper's structural criterion, which here
+compares the AC and BC kernels in one space; its verdict decides neither
+recovery question, which is the conic module's job. It builds its four conditional blocks (both sides, both
 outcomes) as one stack, in one pass over the state's tensor, and takes all
 four kernels from one eigendecomposition of that stack; the blocks are the
 matrices :func:`conditional_block` returns, and the kernels follow
@@ -80,7 +80,10 @@ class OutcomeInclusion:
 class InclusionReport:
     """Per-outcome kernel-inclusion verdicts; the verdict is the AND over outcomes.
 
-    A True verdict is necessary, not sufficient, for recoverability.
+    The paper's structural criterion, with the AC and BC kernels compared in
+    one space: a True verdict does not certify a recovery, and a False one
+    does not rule out a channel. ``necessary_only`` stays in the report for
+    its consumers.
     """
 
     per_outcome: tuple[OutcomeInclusion, ...]

@@ -67,6 +67,48 @@ def random_cptp_choi(rng: np.random.Generator, env_dim: int = 2) -> np.ndarray:
     return choi
 
 
+def bench_generators():
+    """bench/generators.py, the benchmark's corpus generators, imported
+    without writing a bytecode cache."""
+    import importlib.util
+
+    path = pathlib.Path(__file__).resolve().parent.parent / "bench" / "generators.py"
+    spec = importlib.util.spec_from_file_location("bench_generators", path)
+    module = importlib.util.module_from_spec(spec)
+    writes_bytecode = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = writes_bytecode
+    return module
+
+
+def tolerance_split_case():
+    """A pair whose Petz residual lies below its least-squares residual, and
+    tolerances that split them: ``(marginal, target, config)``.
+
+    The state is a classical-C Markov state of bench/generators.py (seed 11)
+    with a 1e-6 admixture of a random state. Its least-squares max residual
+    is 9.2e-8 and its Petz residual 6.2e-8; ``eps_feasible`` sits just above
+    the Petz residual and ``eps_infeasible`` midway to the least-squares one,
+    so the configuration lacks the margin eps_infeasible > 16 eps_feasible.
+    """
+    from vqmc import conic
+    from vqmc import registers as reg
+
+    gen = bench_generators()
+    rng = np.random.default_rng(11)
+    matrix = (1 - 1e-6) * gen.markov_state(rng)[0] + 1e-6 * gen.density(rng, 16)
+    target = reg.DensityOperator(register=reg.QubitRegister(tuple("ABCD")), matrix=matrix)
+    marginal = reg.partial_trace(target, "D")
+    system = conic._RecoverySystem(marginal, target, "C")
+    eps_feasible = system.petz[1] * (1 + 1e-3)
+    eps_infeasible = (eps_feasible + conic._maxabs(system.ls_gap)) / 2
+    config = conic.SolverConfig(eps_feasible=eps_feasible, eps_infeasible=eps_infeasible)
+    return marginal, target, config
+
+
 @pytest.fixture(autouse=True)
 def empty_system_slot():
     """Start every test with conic's one-slot recovery-system cache empty, so

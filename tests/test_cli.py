@@ -10,6 +10,8 @@ import pytest
 from vqmc import cli, conic, markov
 from vqmc import registers as reg
 
+from conftest import tolerance_split_case
+
 
 # the maximally mixed three-qubit state, as a state file's 're'
 EIGHTH = (np.eye(8) / 8).tolist()
@@ -534,6 +536,23 @@ class TestProcessBoundary:
     ], ids=["pass", "usage", "io", "fail", "undetermined"])
     def test_documented_exit_codes(self, tmp_path, argv, code):
         assert run_process(*argv, cwd=tmp_path).returncode == code
+
+    @pytest.mark.parametrize("mode, results", [
+        ("cptp", {"status": conic.FEASIBLE}),
+        ("hptp", {"status": conic.OPTIMAL, "nu": 0.0}),
+    ])
+    def test_both_modes_pass_where_a_channel_recovers(self, tmp_path, mode, results):
+        # tolerances that put the Petz residual under eps_feasible and the
+        # least-squares residual over eps_infeasible: a channel recovers, so nu = 0
+        _, target, config = tolerance_split_case()
+        path = tmp_path / "state.json"
+        reg.save_state(target, path)
+        proc = run_process("certify", str(path), "--mode", mode,
+                           "--eps-feas", repr(config.eps_feasible),
+                           "--eps-infeasible", repr(config.eps_infeasible))
+        assert proc.returncode == cli.EXIT_PASS, proc.stdout + proc.stderr
+        report = json.loads(proc.stdout)["results"]
+        assert {key: report[key] for key in results} == results
 
     @pytest.mark.parametrize("value", [math.inf, math.nan], ids=["Infinity", "NaN"])
     def test_non_finite_state_file_prints_one_error_line(self, tmp_path, value):

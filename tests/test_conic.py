@@ -10,7 +10,8 @@ from vqmc.conic import Constraint, ConicProblem, SolverConfig
 from vqmc.registers import DensityOperator, QubitRegister, ket, projector
 
 import oracles
-from conftest import random_cptp_choi, random_density, random_hermitian
+from conftest import (bench_generators, random_cptp_choi, random_density, random_hermitian,
+                      tolerance_split_case)
 
 
 def appended_ghz3():
@@ -378,8 +379,9 @@ class TestCptpFeasibility:
         )
 
     def test_feasible_implies_inclusion(self):
-        # metamorphic link: every certified-recoverable instance passes the
-        # necessary kernel-inclusion test on its marginal
+        # these certified-recoverable instances pass the structural
+        # kernel-inclusion test on their marginals; not every such state does
+        # (TestOneChannelRule::test_a_failed_inclusion_check_still_allows_a_channel)
         rho2 = reg.make_state("RHO2")
         ghz3, target = appended_ghz3()
         for marginal, state in ((reg.partial_trace(rho2, "D"), rho2), (ghz3, target)):
@@ -1259,15 +1261,6 @@ class TestBlockSolve:
         expected = np.abs(matrix @ conic.svec(choi) - rhs).max()
         assert system.residual(choi) == pytest.approx(expected, abs=1e-12)
 
-    @pytest.mark.parametrize("name", list(PETZ_CASES))
-    def test_psd_exclusion_never_rules_out_a_recovery(self, name):
-        marginal, target = PETZ_CASES[name]
-        system = conic._RecoverySystem(marginal, target, "C")
-        excluded = system.excludes_psd(target.dim * SolverConfig().eps_feasible)
-        solution, _, _ = conic.cptp_certify(marginal, target)
-        assert not (excluded and solution.status == conic.FEASIBLE)
-        assert excluded or name != "W4"
-
     def test_w4_pair_runs_the_petz_map_once(self, monkeypatch):
         calls = []
         petz_choi = conic._petz_choi
@@ -1380,6 +1373,18 @@ def count_calls(monkeypatch, targets):
     return counts
 
 
+def assert_same_overhead(result, expected):
+    """Every field, debug dict and matrix of two overhead answers is bitwise equal."""
+    for field in ("status", "nu", "c1", "c2", "certificate_residual"):
+        assert getattr(result, field) == getattr(expected, field), field
+    assert result.choi_difference.matrix.tobytes() == expected.choi_difference.matrix.tobytes()
+    assert result.solution.to_dict() == expected.solution.to_dict()
+    assert result.solution.debug == expected.solution.debug
+    assert result.solution.block_values.keys() == expected.solution.block_values.keys()
+    for name, block in result.solution.block_values.items():
+        assert block.tobytes() == expected.solution.block_values[name].tobytes(), name
+
+
 class TestOneSystemPerState:
     @pytest.mark.parametrize("name", list(LAYOUT_CASES))
     def test_petz_map_matches_the_reference_marginals(self, name):
@@ -1415,15 +1420,21 @@ class TestOneSystemPerState:
         w4 = reg.make_state("W4")
         counts = count_calls(monkeypatch, [(conic._RecoverySystem, "gap")])
         result = conic.sampling_overhead(reg.partial_trace(w4, "D"), w4, act_on=act_on)
-        # the least-squares J's gap, shared by the residual test and
-        # excludes_psd, then the dual route's certificate residual
+        # the least-squares J's gap, kept for the channel rule and the
+        # overhead's own residual test, then the dual route's certificate residual
         assert counts["gap"] == 2
         assert result.solution.debug["method"] == "dual"
-        for field in ("status", "nu", "c1", "c2", "certificate_residual"):
-            assert getattr(result, field) == getattr(expected, field), field
-        assert result.choi_difference.matrix.tobytes() == expected.choi_difference.matrix.tobytes()
-        assert result.solution.to_dict() == expected.solution.to_dict()
-        assert result.solution.debug == expected.solution.debug
+        assert_same_overhead(result, expected)
+
+    def test_a_lone_overhead_builds_one_petz_map(self, monkeypatch):
+        marginal, target, act_on = LAYOUT_CASES["W4"]
+        conic.cptp_certify(marginal, target, act_on=act_on)
+        expected = conic.sampling_overhead(marginal, target, act_on=act_on)
+        counts = count_calls(monkeypatch, [(conic, "_petz_choi"), (markov, "apply_choi")])
+        result = conic.sampling_overhead(*fresh_pair("W4"), act_on=act_on)
+        # the channel rule's Petz map and its check, then the dual route's certificate
+        assert counts == {"_petz_choi": 1, "apply_choi": 2}
+        assert_same_overhead(result, expected)
 
     @pytest.mark.parametrize("name", ["W4", "GHZ4", "RHO2"])
     def test_cached_least_squares_gap_is_the_gap_of_choi_ls(self, name):
@@ -1460,6 +1471,8 @@ class TestOneSystemPerState:
 # ---------------------------------------------------------------------------
 
 DEAD_ZONE = SolverConfig(eps_feasible=0.1, eps_infeasible=0.9)
+# eps_infeasible <= 16 eps_feasible: the Petz map decides every channel verdict
+NO_MARGIN = SolverConfig(eps_feasible=1e-6, eps_infeasible=1e-5)
 
 
 def fresh_pair(name):
@@ -1537,25 +1550,6 @@ class TestSystemCache:
         assert cptp["primal_residual"] == pytest.approx(0.5, abs=1e-12)
 
 
-def bench_generators():
-    """bench/generators.py, the benchmark's corpus generators, imported
-    without writing a bytecode cache."""
-    import importlib.util
-    import pathlib
-    import sys
-
-    path = pathlib.Path(__file__).resolve().parent.parent / "bench" / "generators.py"
-    spec = importlib.util.spec_from_file_location("bench_generators", path)
-    module = importlib.util.module_from_spec(spec)
-    writes_bytecode = sys.dont_write_bytecode
-    sys.dont_write_bytecode = True
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.dont_write_bytecode = writes_bytecode
-    return module
-
-
 def corpus_states():
     """Seeded states from every benchmark corpus generator, the builtins and
     the MIX and CONVEX_MIX grids."""
@@ -1577,12 +1571,11 @@ def corpus_states():
 
 class TestLeastSquaresFirst:
     def test_without_the_margin_the_petz_map_decides(self, monkeypatch):
-        config = SolverConfig(eps_feasible=1e-6, eps_infeasible=1e-5)
         marginal, target, act_on = LAYOUT_CASES["GHZ4"]
-        assert config.eps_infeasible <= target.dim * config.eps_feasible
+        assert NO_MARGIN.eps_infeasible <= target.dim * NO_MARGIN.eps_feasible
         petz_residual = conic._RecoverySystem(marginal, target, act_on).petz[1]
         counts = count_calls(monkeypatch, [(conic, "_petz_choi")])
-        solution, choi, residual = conic.cptp_certify(marginal, target, config, act_on)
+        solution, choi, residual = conic.cptp_certify(marginal, target, NO_MARGIN, act_on)
         assert counts["_petz_choi"] == 1
         assert solution.status == conic.INFEASIBLE and solution.debug == {"method": "petz"}
         assert solution.primal_residual == petz_residual
@@ -1610,3 +1603,65 @@ class TestLeastSquaresFirst:
             residual = markov.verify_recovery(target, marginal, choi, act_on="C")
             assert residual > eps_feasible, f"{name}: the Petz map recovers within {residual:.3e}"
         assert decided["least_squares"] >= 40 and decided["petz"] >= 40, decided
+
+
+# ---------------------------------------------------------------------------
+# One channel rule for both recovery questions: nu = 0 exactly when
+# cptp_certify is FEASIBLE
+# ---------------------------------------------------------------------------
+
+CHANNEL_CONFIGS = {"default": SolverConfig(), "dead zone": DEAD_ZONE, "no margin": NO_MARGIN}
+# the two case sets share W4, RHO2, GHZ4, markov #0 and MIX(0.5)
+CHANNEL_CASES = {**{name: (*pair, "C") for name, pair in PETZ_CASES.items()}, **BLOCK_SOLVE_CASES}
+
+
+def copied(state):
+    """An equal DensityOperator that is another object, so the system cache misses."""
+    return reg.DensityOperator(register=state.register, matrix=state.matrix)
+
+
+class TestOneChannelRule:
+    @pytest.mark.parametrize("config", list(CHANNEL_CONFIGS))
+    @pytest.mark.parametrize("name", list(CHANNEL_CASES))
+    def test_nu_is_zero_exactly_when_a_channel_recovers(self, name, config):
+        marginal, target, act_on = CHANNEL_CASES[name]
+        cfg = CHANNEL_CONFIGS[config]
+        solution = conic.cptp_certify(marginal, target, cfg, act_on)[0]
+        after = conic.sampling_overhead(marginal, target, cfg, act_on)
+        alone = conic.sampling_overhead(copied(marginal), copied(target), cfg, act_on)
+        recovered = solution.status == conic.FEASIBLE
+        for overhead in (after, alone):
+            assert (overhead.solution.debug["method"] == "petz") is recovered
+            if recovered:
+                assert overhead.nu == 0.0
+        assert alone.to_dict() == after.to_dict()
+        assert alone.solution.debug == after.solution.debug
+
+    def test_tolerances_between_the_petz_and_least_squares_residuals(self):
+        marginal, target, config = tolerance_split_case()
+        system = conic._RecoverySystem(marginal, target, "C")
+        petz_residual, ls_residual = system.petz[1], conic._maxabs(system.ls_gap)
+        assert petz_residual <= config.eps_feasible < config.eps_infeasible < ls_residual
+        assert config.eps_infeasible <= target.dim * config.eps_feasible
+        solution, choi, residual = conic.cptp_certify(marginal, target, config)
+        assert solution.status == conic.FEASIBLE and solution.debug == {"method": "petz"}
+        assert residual == petz_residual and choi is not None
+        for overhead in (conic.sampling_overhead(marginal, target, config),
+                         conic.sampling_overhead(copied(marginal), copied(target), config)):
+            assert overhead.status == conic.OPTIMAL and overhead.nu == 0.0
+            assert overhead.solution.debug == {"method": "petz"}
+            assert overhead.certificate_residual == petz_residual
+
+    def test_a_failed_inclusion_check_still_allows_a_channel(self):
+        # the check compares the AC and BC kernels in one space: Ker(AC|1)
+        # holds |1>|1>, which leaks out of Ker(BC|1), yet appending |0>_D is
+        # undone by a channel that prepares |0>
+        abc = labeled("ABC", 0.5 * projector(ket("000")) + 0.5 * projector(ket("011")))
+        target = reg.tensor(abc, labeled("D", projector(ket("0"))))
+        report = markov.kernel_inclusion_check(abc)
+        assert not report.verdict and report.to_dict()["necessary_only"] is True
+        solution, choi, _ = conic.cptp_certify(abc, target)
+        assert solution.status == conic.FEASIBLE
+        assert_valid_recovery(abc, target, choi)
+        overhead = conic.sampling_overhead(abc, target)
+        assert overhead.nu == 0.0 and overhead.solution.debug == {"method": "petz"}

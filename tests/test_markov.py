@@ -522,7 +522,7 @@ class TestVerifyRecovery:
         ) <= 1e-15
 
     def test_inclusion_passes_wherever_exact_recovery_exists(self):
-        # states with a known exact recovery channel all pass the necessary test
+        # these states with a known exact recovery channel pass the structural test
         rho2 = reg.make_state("RHO2")
         ghz3 = reg.make_state("GHZ3")
         extended = reg.tensor(

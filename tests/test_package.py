@@ -1,6 +1,9 @@
-"""The package's lazy exports: every public name resolves to its home module's object."""
+"""The package's lazy exports: every public name resolves to its home module's object;
+and the README's library example prints what it says."""
 
 import importlib
+import pathlib
+import re
 
 import pytest
 
@@ -51,3 +54,11 @@ def test_an_unknown_name_is_an_attribute_error_that_names_it(module):
 def test_conic_serves_the_reference_route_from_its_own_module(name):
     assert getattr(conic, name) is getattr(_reference, name)
 
+
+
+def test_readme_library_example_prints_what_it_says(capsys):
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    examples = re.findall(r"```python\n(.*?)```", readme, flags=re.DOTALL)
+    assert len(examples) == 1
+    exec(examples[0], {})
+    assert capsys.readouterr().out == "True INFEASIBLE 1.5849625007211565\n"
