@@ -214,29 +214,25 @@ def solve(problem: ConicProblem, config: SolverConfig | None = None) -> ConicSol
     return finished(status, x_ls + null @ y, iterations + steps)
 
 
-def build_cptp_feasibility(
-    marginal: DensityOperator, target: DensityOperator, act_on: str = "C"
-) -> ConicProblem:
+def build_cptp_feasibility(marginal: DensityOperator, target: DensityOperator) -> ConicProblem:
     """Feasibility SDP for an exact channel recovery of ``target`` from ``marginal``.
 
     One PSD Choi block, trace-preservation rows, and the full entrywise
     reconstruction constraint; zero objective. FEASIBLE means a channel
-    exists whose extension of the marginal reproduces the target.
+    exists, on the subsystem the pair fixes, that reproduces the target.
     """
-    choi_dim, tp_rows, fit_rows = _RecoverySystem(marginal, target, act_on).rows()
+    choi_dim, tp_rows, fit_rows = _RecoverySystem(marginal, target).rows()
     rows = [Constraint(blocks={"J": m}, scalars={}, rhs=r) for m, r in tp_rows + fit_rows]
     return ConicProblem(psd_blocks=(("J", choi_dim),), equalities=tuple(rows))
 
 
-def build_overhead_problem(
-    marginal: DensityOperator, target: DensityOperator, act_on: str = "C"
-) -> ConicProblem:
+def build_overhead_problem(marginal: DensityOperator, target: DensityOperator) -> ConicProblem:
     """Quasiprobability-recovery SDP: minimize c1 + c2 over a two-channel split.
 
     Two PSD Choi blocks normalized to c1 and c2 times the identity, with the
-    difference reconstructing the target.
+    difference reconstructing the target on the subsystem the pair fixes.
     """
-    choi_dim, tp_rows, fit_rows = _RecoverySystem(marginal, target, act_on).rows()
+    choi_dim, tp_rows, fit_rows = _RecoverySystem(marginal, target).rows()
     rows = [
         Constraint(blocks={name: m}, scalars={scalar: -r}, rhs=0.0)
         for name, scalar in (("J1", "c1"), ("J2", "c2"))

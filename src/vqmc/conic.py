@@ -70,8 +70,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import linops, markov
-from .registers import (ChoiOperator, DensityOperator, _extended_labels, _output_trace,
-                        _permuted, partial_trace)
+from .registers import (ChoiOperator, DensityOperator, _acted_on, _output_trace, _permuted,
+                        partial_trace)
 
 OPTIMAL = "OPTIMAL"
 FEASIBLE = "FEASIBLE"
@@ -379,10 +379,11 @@ class _RecoverySystem:
     """One (marginal, target) pair, validated once, and what both recovery
     questions ask of it.
 
-    Construction checks that the extension ``ext`` (the target's labels
-    missing from the marginal) follows ``act_on`` and that Tr_ext of the
-    target is the marginal, and groups the marginal as (rest, C) and the
-    target as (rest, C, ext), the order in which the map produces it.
+    The pair fixes the layout: the map acts on ``act_on`` and creates the
+    extension ``ext`` right after it (:func:`registers._acted_on`).
+    Construction checks that Tr_ext of the target is the marginal, and groups
+    the marginal as (rest, C) and the target as (rest, C, ext), the order in
+    which the map produces it, with C = ``act_on``.
     Computed on first use and kept: ``petz``, the Petz map's verified
     certificate from Tr_rest of the grouped target, and the block solve of
     M svec(J) = b below, whose min-norm least-squares solution x_ls is
@@ -413,16 +414,8 @@ class _RecoverySystem:
     {N (x) H : R(N) = 0, H traceless Hermitian}.
     """
 
-    def __init__(self, marginal: DensityOperator, target: DensityOperator, act_on: str):
-        ext = tuple(lab for lab in target.labels if lab not in marginal.labels)
-        if not ext:
-            raise ValueError("target must extend the marginal by at least one subsystem")
-        expected = _extended_labels(marginal.labels, act_on, ext)
-        if expected != target.labels:
-            raise ValueError(
-                f"target labels {target.labels} must equal the marginal labels with the "
-                f"extension inserted after {act_on!r} (expected {expected})"
-            )
+    def __init__(self, marginal: DensityOperator, target: DensityOperator):
+        act_on, ext = _acted_on(marginal.labels, target.labels)
         order = [lab for lab in marginal.labels if lab != act_on] + [act_on]
         grouped = _permuted(marginal.matrix, marginal.labels, order)
         self._target = _permuted(target.matrix, target.labels, order + list(ext))
@@ -443,8 +436,7 @@ class _RecoverySystem:
         with the residual from the independent :func:`markov.verify_recovery`."""
         operator = ChoiOperator(matrix=choi, input_label=self.act_on, copy_label=self.act_on + "'",
                                 extension_labels=self.ext, cp_flag=cp)
-        return operator, markov.verify_recovery(self.target, self.marginal, operator,
-                                                act_on=self.act_on)
+        return operator, markov.verify_recovery(self.target, self.marginal, operator)
 
     @cached_property
     def petz(self):
@@ -921,18 +913,17 @@ def _dual_overhead(system: _RecoverySystem):
 _last_system: _RecoverySystem | None = None
 
 
-def _system(marginal: DensityOperator, target: DensityOperator, act_on: str) -> _RecoverySystem:
+def _system(marginal: DensityOperator, target: DensityOperator) -> _RecoverySystem:
     """The pair's :class:`_RecoverySystem`, kept from the last call when
-    ``marginal`` and ``target`` are the same objects and ``act_on`` is equal,
-    so asking both questions of a pair validates and solves it once. A frozen
-    DensityOperator owns a read-only copy of its matrix, and the slot keeps
-    both objects alive, so identity means the same state."""
+    ``marginal`` and ``target`` are the same objects, so asking both questions
+    of a pair validates and solves it once. A frozen DensityOperator owns a
+    read-only copy of its matrix and labels, and the slot keeps both objects
+    alive, so identity means the same state and the same layout."""
     global _last_system
     last = _last_system
-    if last is not None and last.marginal is marginal and last.target is target \
-            and last.act_on == act_on:
+    if last is not None and last.marginal is marginal and last.target is target:
         return last
-    _last_system = _RecoverySystem(marginal, target, act_on)
+    _last_system = _RecoverySystem(marginal, target)
     return _last_system
 
 
@@ -965,13 +956,10 @@ def _channel(system: _RecoverySystem, cfg: SolverConfig):
     return cfg.verdict(system.petz[1]), system.petz
 
 
-def sampling_overhead(
-    marginal: DensityOperator,
-    target: DensityOperator,
-    config: SolverConfig | None = None,
-    act_on: str = "C",
-) -> OverheadResult:
-    """Minimal quasiprobability cost of recovering ``target`` from ``marginal``.
+def sampling_overhead(marginal: DensityOperator, target: DensityOperator,
+                      config: SolverConfig | None = None) -> OverheadResult:
+    """Minimal quasiprobability cost of recovering ``target`` from ``marginal``
+    by a map on the subsystem the pair fixes (:class:`_RecoverySystem`).
 
     Two cases need no SDP. When the channel rule of :func:`cptp_certify`
     (:func:`_channel`) is FEASIBLE, the answer is nu = 0 with the Petz
@@ -995,7 +983,7 @@ def sampling_overhead(
     dual's bounds do not meet.
     """
     cfg = config or SolverConfig()
-    system = _system(marginal, target, act_on)
+    system = _system(marginal, target)
     status, petz = _channel(system, cfg)
     if status == FEASIBLE:
         choi, residual = petz
@@ -1024,14 +1012,12 @@ def sampling_overhead(
                           solution=solution)
 
 
-def cptp_certify(
-    marginal: DensityOperator,
-    target: DensityOperator,
-    config: SolverConfig | None = None,
-    act_on: str = "C",
-) -> tuple[ConicSolution, ChoiOperator | None, float | None]:
-    """Decide channel recovery; on FEASIBLE, return the Petz map's Choi
-    matrix and verified reconstruction residual as the certificate.
+def cptp_certify(marginal: DensityOperator, target: DensityOperator,
+                 config: SolverConfig | None = None
+                 ) -> tuple[ConicSolution, ChoiOperator | None, float | None]:
+    """Decide channel recovery of ``target`` from ``marginal`` on the subsystem
+    the pair fixes (:class:`_RecoverySystem`); on FEASIBLE, return the Petz
+    map's Choi matrix and verified reconstruction residual as the certificate.
 
     :func:`_channel` decides. When the least-squares residual r_ls rules
     out every trace-preserving map, the answer is INFEASIBLE with
@@ -1044,7 +1030,7 @@ def cptp_certify(
     same verdict.
     """
     cfg = config or SolverConfig()
-    system = _system(marginal, target, act_on)
+    system = _system(marginal, target)
     status, petz = _channel(system, cfg)
     if petz is None:
         return _least_squares_solution(system, status), None, None
@@ -1111,9 +1097,8 @@ def recoverability_sweep(family, grid, config: SolverConfig | None = None) -> Sw
             state = family(p)
             marginal = partial_trace(state, state.labels[-1])
             inclusion = markov.kernel_inclusion_check(marginal)
-            act_on = marginal.labels[-1]
-            cptp_solution, _, cptp_residual = cptp_certify(marginal, state, config, act_on)
-            overhead = sampling_overhead(marginal, state, config, act_on)
+            cptp_solution, _, cptp_residual = cptp_certify(marginal, state, config)
+            overhead = sampling_overhead(marginal, state, config)
             rows.append(
                 SweepRow(
                     p=p,

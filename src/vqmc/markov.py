@@ -8,11 +8,11 @@ convention in which conditional kernels are two-qubit subspaces.
 
 The kernel-inclusion check is the paper's structural criterion, which here
 compares the AC and BC kernels in one space; its verdict decides neither
-recovery question, which is the conic module's job. It builds its four conditional blocks (both sides, both
-outcomes) as one stack, in one pass over the state's tensor, and takes all
-four kernels from one eigendecomposition of that stack; the blocks are the
-matrices :func:`conditional_block` returns, and the kernels follow
-:func:`linops.kernel_basis`'s rule.
+recovery question, which is the conic module's job. It builds its four
+conditional blocks (both sides, both outcomes) as one stack, in one pass over
+the state's tensor, and takes all four kernels from one eigendecomposition of
+that stack; the blocks are the matrices :func:`conditional_block` returns,
+and the kernels follow :func:`linops.kernel_basis`'s rule.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from . import linops
 from .registers import (ChoiOperator, DensityOperator, LabelError, QubitRegister,
-                        _extended_labels, _permuted, _trace_out_axes)
+                        _acted_on, _extended_labels, _permuted, _trace_out_axes)
 
 INCLUSION_LEAK_TOL = 1e-8
 BLOCK_MATCH_TOL = 1e-10
@@ -82,8 +82,7 @@ class InclusionReport:
 
     The paper's structural criterion, with the AC and BC kernels compared in
     one space: a True verdict does not certify a recovery, and a False one
-    does not rule out a channel. ``necessary_only`` stays in the report for
-    its consumers.
+    does not rule out a channel.
     """
 
     per_outcome: tuple[OutcomeInclusion, ...]
@@ -101,7 +100,6 @@ class InclusionReport:
         return {
             "verdict": self.verdict,
             "tol": self.tol,
-            "necessary_only": True,
             "outcomes": [entry.to_dict() for entry in self.per_outcome],
         }
 
@@ -304,14 +302,11 @@ def apply_choi(rho: DensityOperator, choi: ChoiOperator, act_on: str) -> Density
     )
 
 
-def verify_recovery(
-    target: DensityOperator,
-    marginal: DensityOperator,
-    choi: ChoiOperator,
-    act_on: str = "C",
-) -> float:
-    """Max-abs entrywise gap between the channel-extended marginal and the target."""
-    recovered = apply_choi(marginal, choi, act_on)
+def verify_recovery(target: DensityOperator, marginal: DensityOperator,
+                    choi: ChoiOperator) -> float:
+    """Max-abs entrywise gap between the channel-extended marginal and the
+    target, with the channel on the subsystem the pair fixes (``_acted_on``)."""
+    recovered = apply_choi(marginal, choi, _acted_on(marginal.labels, target.labels)[0])
     if recovered.labels != target.labels:
         raise LabelError(
             f"recovered labels {recovered.labels} do not match target {target.labels}"

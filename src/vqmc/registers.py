@@ -242,6 +242,20 @@ def _extended_labels(labels, act_on: str, ext) -> tuple[str, ...]:
     return tuple(name for lab in labels for name in ((lab, *ext) if lab == act_on else (lab,)))
 
 
+def _acted_on(labels, target_labels) -> tuple[str, tuple[str, ...]]:
+    """The inverse of :func:`_extended_labels`: ``(act_on, ext)``, with ``ext``
+    the target's labels missing from ``labels`` and ``act_on`` the label just before them."""
+    ext = tuple(lab for lab in target_labels if lab not in labels)
+    if not ext:
+        raise ValueError("target must extend the marginal by at least one subsystem")
+    start = target_labels.index(ext[0])
+    act_on = target_labels[start - 1]
+    if start == 0 or _extended_labels(labels, act_on, ext) != target_labels:
+        raise ValueError(f"target labels {target_labels} must equal the marginal labels "
+                         f"{labels} with the extension {ext} inserted right after one of them")
+    return act_on, ext
+
+
 def _output_trace(choi: np.ndarray) -> np.ndarray:
     """Tr_out J of a matrix on a qubit input (x) out."""
     n = len(choi) // 2

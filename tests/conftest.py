@@ -102,7 +102,7 @@ def tolerance_split_case():
     matrix = (1 - 1e-6) * gen.markov_state(rng)[0] + 1e-6 * gen.density(rng, 16)
     target = reg.DensityOperator(register=reg.QubitRegister(tuple("ABCD")), matrix=matrix)
     marginal = reg.partial_trace(target, "D")
-    system = conic._RecoverySystem(marginal, target, "C")
+    system = conic._RecoverySystem(marginal, target)
     eps_feasible = system.petz[1] * (1 + 1e-3)
     eps_infeasible = (eps_feasible + conic._maxabs(system.ls_gap)) / 2
     config = conic.SolverConfig(eps_feasible=eps_feasible, eps_infeasible=eps_infeasible)

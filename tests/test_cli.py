@@ -386,6 +386,19 @@ class TestDemoCommand:
         assert rows[1.0]["hptp"] == "OPTIMAL"
         assert rows[0.5]["hptp"] == "INFEASIBLE" and rows[0.5]["nu"] == "inf"
 
+    def test_nonconvexity_conclusion_follows_its_rows(self, capsys):
+        _, default = run_json(capsys, "demo", "nonconvexity")
+        assert default["results"]["conclusion"].endswith("recoverable states is non-convex")
+        # loose tolerances let a channel rebuild every row, the midpoint too
+        code, loose = run_json(capsys, "demo", "nonconvexity", "--eps-feas", "0.3",
+                               "--eps-infeasible", "0.9")
+        rows = loose["results"]["rows"]
+        assert [(row["hptp"], row["nu"]) for row in rows] == [("OPTIMAL", 0.0)] * 3
+        assert loose["results"]["conclusion"] == (
+            "these rows do not show that the set of recoverable states is non-convex")
+        # the exit code still follows the midpoint's inclusion verdict
+        assert rows[1]["inclusion"] is True and code == cli.EXIT_PASS
+
     def test_nonconvexity_verbose_adds_the_deciding_routes(self, capsys):
         code, plain = run_json(capsys, "demo", "nonconvexity")
         code_verbose, verbose = run_json(capsys, "demo", "nonconvexity", "--verbose")

@@ -176,7 +176,7 @@ class TestKernelInclusion:
     def test_report_serializes(self, w4_marginal):
         payload = markov.kernel_inclusion_check(w4_marginal).to_dict()
         assert payload["verdict"] is True
-        assert payload["necessary_only"] is True
+        assert "necessary_only" not in payload
         assert {entry["j"] for entry in payload["outcomes"]} == {0, 1}
 
 

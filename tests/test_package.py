@@ -1,5 +1,5 @@
 """The package's lazy exports: every public name resolves to its home module's object;
-and the README's library example prints what it says."""
+the README's library example prints what it says, and every name it cites exists."""
 
 import importlib
 import pathlib
@@ -56,9 +56,22 @@ def test_conic_serves_the_reference_route_from_its_own_module(name):
 
 
 
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+IDENTIFIER = r"[A-Za-z_][A-Za-z0-9_]*"
+
+
 def test_readme_library_example_prints_what_it_says(capsys):
-    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    readme = (ROOT / "README.md").read_text()
     examples = re.findall(r"```python\n(.*?)```", readme, flags=re.DOTALL)
     assert len(examples) == 1
     exec(examples[0], {})
     assert capsys.readouterr().out == "True INFEASIBLE 1.5849625007211565\n"
+
+
+def test_every_name_the_readme_cites_exists():
+    cited = set(re.findall(f"`({IDENTIFIER})`", (ROOT / "README.md").read_text()))
+    sources = [*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").rglob("*.py"),
+               *(ROOT / "bench").glob("*.py")]
+    words = {word for path in sources for word in re.findall(IDENTIFIER, path.read_text())}
+    assert len(cited) >= 40
+    assert sorted(cited - words) == []

@@ -378,6 +378,25 @@ class TestLayoutHelpers:
     ])
     def test_extended_labels_insert_right_after_act_on(self, act_on, expected):
         assert reg._extended_labels(("A", "B", "C"), act_on, ("X", "Y")) == expected
+        assert reg._acted_on(("A", "B", "C"), expected) == (act_on, ("X", "Y"))
+
+    @pytest.mark.parametrize("labels", [("A", "B", "C"), ("W", "X", "Y", "Z")])
+    @pytest.mark.parametrize("ext", [("D",), ("E", "D")])
+    def test_acted_on_inverts_extended_labels(self, labels, ext):
+        for act_on in labels:
+            target = reg._extended_labels(labels, act_on, ext)
+            assert reg._acted_on(labels, target) == (act_on, ext)
+
+    @pytest.mark.parametrize("target, message", [
+        (("C", "A", "B"), "extend the marginal by at least one subsystem"),
+        (("X", "A", "B", "C"), "inserted right after one of them"),  # extension first
+        (("A", "X", "B", "C", "Y"), "inserted right after one of them"),  # split extension
+        (("B", "A", "C", "X"), "inserted right after one of them"),  # labels reordered
+        (("A", "B", "X"), "inserted right after one of them"),  # a label missing
+    ])
+    def test_acted_on_rejects_every_other_layout(self, target, message):
+        with pytest.raises(ValueError, match=message):
+            reg._acted_on(("A", "B", "C"), target)
 
     def test_extended_labels_with_no_extension(self):
         assert reg._extended_labels(["A", "B", "C"], "B", ()) == ("A", "B", "C")
