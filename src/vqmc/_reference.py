@@ -99,9 +99,13 @@ def _affine_solutions(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndar
     """(x_ls, N) with {x : A x = P_range(A) b} = {x_ls + N y}, from one SVD of A.
 
     x_ls is the min-norm least-squares solution and the columns of N are an
-    orthonormal basis of the null space of A.
+    orthonormal basis of the null space of A. A failed SVD raises ``ValueError``.
     """
-    u, s, vt = np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1])
+    try:
+        u, s, vt = np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1])
+    except np.linalg.LinAlgError as err:
+        raise ValueError(f"the SVD of the {A.shape[0]}x{A.shape[1]} equality matrix "
+                         f"failed: {err}") from err
     rank = int((s > s[0] * 1e-12).sum()) if s.size and s[0] > 0 else 0
     return vt[:rank].T @ ((u[:, :rank].T @ b) / s[:rank]), vt[rank:].T
 
@@ -109,7 +113,8 @@ def _affine_solutions(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndar
 def solve(problem: ConicProblem, config: SolverConfig | None = None) -> ConicSolution:
     """Solve a conic problem with :func:`_interior_point`, in two phases.
 
-    One SVD of the equality matrix writes its solutions as x = x_ls + N y.
+    One SVD of the equality matrix writes its solutions as x = x_ls + N y
+    (a failed SVD raises ``ValueError``).
     A least-squares residual above ``eps_infeasible`` is INFEASIBLE, one
     above ``eps_feasible`` MAX_ITER (the dead zone), both at 0 iterations.
     Phase 1 minimizes t subject to X_k(y) + t I >= 0 for every PSD block

@@ -428,14 +428,13 @@ class _RecoverySystem:
                 f"(max deviation {gap:.3e}); refusing to build a vacuously "
                 "infeasible problem"
             )
-        self.marginal, self.target, self.act_on, self.ext = marginal, target, act_on, ext
+        self.marginal, self.target, self.ext = marginal, target, ext
         self._rho = grouped.reshape(marginal.dim // 2, 2, marginal.dim // 2, 2)
 
     def certificate(self, choi: np.ndarray, cp: bool):
         """``(ChoiOperator, residual)`` of a Choi matrix on act_on -> (act_on, ext),
         with the residual from the independent :func:`markov.verify_recovery`."""
-        operator = ChoiOperator(matrix=choi, input_label=self.act_on, copy_label=self.act_on + "'",
-                                extension_labels=self.ext, cp_flag=cp)
+        operator = ChoiOperator(matrix=choi, extension_labels=self.ext, cp_flag=cp)
         return operator, markov.verify_recovery(self.target, self.marginal, operator)
 
     @cached_property

@@ -52,16 +52,16 @@ def _hermitian_stack(stack: np.ndarray) -> np.ndarray:
     """:func:`hermitian_part` of each square matrix of a stack (..., n, n);
     the first matrix that fails a check raises."""
     adjoint = np.swapaxes(stack, -1, -2).conj()
-    if stack.shape[-1]:
-        gap = np.abs(stack - adjoint)
-        # any NaN or inf entry makes its own asymmetry NaN or inf
-        if not gap.max() <= HERMITIAN_ATOL:
-            asym = gap.reshape(-1, stack.shape[-1] ** 2).max(axis=1)
-            worst = float(asym[np.argmax(~(asym <= HERMITIAN_ATOL))])
-            if not np.isfinite(worst):
+    n = stack.shape[-1]
+    # finiteness first: inf - inf in the asymmetry would be a NaN and a warning
+    if n and not (np.isfinite(stack).all() and np.abs(stack - adjoint).max() <= HERMITIAN_ATOL):
+        for matrix in stack.reshape(-1, n, n):
+            if not np.isfinite(matrix).all():
                 raise ValueError("matrix has non-finite entries (NaN or inf)")
-            raise NonHermitianError(
-                f"matrix is not Hermitian: max asymmetry {worst:.6e} > {HERMITIAN_ATOL:.1e}")
+            asym = float(np.abs(matrix - matrix.conj().T).max())
+            if asym > HERMITIAN_ATOL:
+                raise NonHermitianError(
+                    f"matrix is not Hermitian: max asymmetry {asym:.6e} > {HERMITIAN_ATOL:.1e}")
     return (stack + adjoint) / 2
 
 

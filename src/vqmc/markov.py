@@ -269,11 +269,11 @@ def kernel_inclusion_check(
 def apply_choi(rho: DensityOperator, choi: ChoiOperator, act_on: str) -> DensityOperator:
     """Apply the channel encoded by ``choi`` to one subsystem of ``rho``.
 
-    The acted subsystem is replaced in place by the channel output: its copy
-    slot keeps the name ``act_on`` and the extension labels are inserted
-    right after it. Trace is preserved when the Choi matrix is
-    trace-preserving; the output is a valid state when ``cp_flag`` is set
-    and the input is normalized.
+    The acted subsystem is replaced in place by the channel output: the
+    acted qubit keeps the name ``act_on`` and the Choi matrix's extension
+    labels are inserted right after it. Trace is preserved when the Choi
+    matrix is trace-preserving; the output is a valid state when
+    ``cp_flag`` is set and the input is normalized.
     """
     collisions = set(choi.extension_labels) & (set(rho.labels) - {act_on})
     if collisions:
@@ -321,6 +321,8 @@ def operator_blocks(rho: DensityOperator, over) -> list[BlockOperator]:
     i, j enumerating the basis of the ``over`` group in register order.
     """
     over = [over] if isinstance(over, str) else list(over)
+    if len(set(over)) != len(over):
+        raise LabelError(f"block labels must be distinct, got {over}")
     for lab in over:
         rho.register.axis(lab)
     rest = [lab for lab in rho.labels if lab not in over]
@@ -362,7 +364,8 @@ def marginal_block_consistency(
     extend_to = {extend_to} if isinstance(extend_to, str) else set(extend_to)
     if keep in extend_to:
         raise LabelError(f"keep label {keep!r} cannot be part of extend_to")
-    rho.register.axis(keep)
+    for lab in (keep, *sorted(extend_to)):
+        rho.register.axis(lab)
     complement = [lab for lab in rho.labels if lab != keep and lab not in extend_to]
     if not complement:
         raise LabelError("no subsystem left to index the blocks")

@@ -139,27 +139,26 @@ class DensityOperator:
 
 @dataclass(frozen=True)
 class ChoiOperator:
-    """Choi matrix on input (x) copy (x) extension, with declared labels.
+    """Choi matrix of a map from one qubit to that qubit and the extensions.
 
-    The input slot is the system the channel consumes; the copy slot is the
-    output replica of the input; extensions are freshly created outputs.
-    Trace-preservation means the partial trace over copy+extension equals
+    The matrix is on input (x) output, the output being the acted qubit
+    followed by the freshly created ``extension_labels``; those are the only
+    labels it carries. Where the map acts is said by the caller: the
+    ``act_on`` of :func:`markov.apply_choi`, or a (marginal, target) pair.
+    Trace-preservation means the partial trace over the output equals
     ``trace_scale * I`` on the input, with ``trace_scale == 1`` for proper
     channels. ``cp_flag`` asserts positivity (complete positivity of the map).
     """
 
     matrix: np.ndarray
-    input_label: str = "C"
-    copy_label: str = "C'"
     extension_labels: tuple[str, ...] = ("D",)
     cp_flag: bool = True
 
     def __post_init__(self):
         matrix = hermitian_part(self.matrix)
         ext = tuple(self.extension_labels)
-        names = (self.input_label, self.copy_label) + ext
-        if len(set(names)) != len(names):
-            raise LabelError(f"Choi subsystem labels must be distinct, got {names}")
+        if len(set(ext)) != len(ext):
+            raise LabelError(f"Choi extension labels must be distinct, got {ext}")
         expected = 2 ** (2 + len(ext))
         if matrix.shape[0] != expected:
             raise ValueError(f"Choi matrix must be {expected}x{expected}, got {matrix.shape}")
@@ -171,7 +170,7 @@ class ChoiOperator:
         scale = float(np.trace(reduced).real) / 2.0
         if np.abs(reduced - scale * np.eye(2)).max() > CHOI_TRACE_ATOL:
             raise ValueError(
-                "partial trace of the Choi matrix over copy+extension is not "
+                "partial trace of the Choi matrix over the output is not "
                 f"proportional to the identity (deviation "
                 f"{float(np.abs(reduced - scale * np.eye(2)).max()):.3e})"
             )
@@ -184,7 +183,7 @@ class ChoiOperator:
 
     @property
     def trace_scale(self) -> float:
-        """Proportionality constant c in Tr_{copy,ext}(J) = c * I."""
+        """Proportionality constant c in Tr_out(J) = c * I."""
         return float(np.trace(self.matrix).real) / 2.0
 
     @property
@@ -336,7 +335,7 @@ def make_channel_choi(name: str) -> ChoiOperator:
     - ``MEASURE_AND_APPEND``: measure the input, re-prepare it, and append a
       matching basis state.
 
-    Every output is PSD with partial trace over copy+extension equal to the
+    Every output is PSD with partial trace over the output equal to the
     identity on the input.
     """
     name = name.upper()

@@ -235,6 +235,19 @@ class TestReferenceSolve:
         assert solution.objective_value == pytest.approx(3.0, abs=1e-9)
         recheck(prob, solution)
 
+    def test_a_failed_svd_is_a_value_error(self, monkeypatch):
+        w4 = reg.make_state("W4")
+        prob = conic.build_cptp_feasibility(reg.partial_trace(w4, "D"), w4)
+
+        def failing_svd(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", failing_svd)
+        with pytest.raises(ValueError, match=r"SVD of the \d+x64 equality matrix failed") as err:
+            conic.solve(prob)
+        assert type(err.value) is ValueError
+        assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
+
     def test_no_strictly_feasible_point(self):
         # X11 = 0 forces a zero eigenvalue on every feasible X, so phase 2
         # runs on the cone shifted by eps_psd; Tr X = X11 + X22 = 1 throughout
@@ -757,7 +770,9 @@ class TestRelabeledInputs:
         overhead = conic.sampling_overhead(marginal, target)
         for certificate in (choi, overhead.choi_difference):
             if certificate is not None:
-                assert certificate.input_label == act_on
+                rebuilt = markov.apply_choi(marginal, certificate, act_on)
+                assert rebuilt.labels == target.labels
+                assert np.abs(rebuilt.matrix - target.matrix).max() <= 1e-9
                 assert markov.verify_recovery(target, marginal, certificate) <= 1e-9
         if reference is None:
             assert solution.status == conic.FEASIBLE and overhead.nu == 0.0
@@ -785,7 +800,7 @@ class TestRelabeledInputs:
 def choi_stand_in(matrix, act_on, ext):
     """The attributes markov.apply_choi reads, for a Choi matrix that is not
     trace preserving (ChoiOperator refuses those, rightly, as channels)."""
-    return SimpleNamespace(matrix=matrix, input_label=act_on, extension_labels=tuple(ext),
+    return SimpleNamespace(matrix=matrix, extension_labels=tuple(ext),
                            output_dim=matrix.shape[0] // 2, is_trace_preserving=False,
                            cp_flag=False)
 
@@ -1443,8 +1458,7 @@ class TestOneSystemPerState:
             target.matrix, target.labels, act_on, system.ext))
         choi, residual = system.petz
         assert np.abs(choi.matrix - reference).max() <= 1e-14
-        reference_choi = reg.ChoiOperator(matrix=reference, input_label=act_on,
-                                          copy_label=act_on + "'", extension_labels=system.ext)
+        reference_choi = reg.ChoiOperator(matrix=reference, extension_labels=system.ext)
         expected = markov.verify_recovery(target, marginal, reference_choi)
         assert residual == pytest.approx(expected, abs=1e-14)
 
@@ -1638,7 +1652,7 @@ class TestLeastSquaresFirst:
             assert solution.status == conic.INFEASIBLE, name
             choi = reg.ChoiOperator(
                 matrix=conic._petz_choi(*oracles.petz_marginals(matrix, "ABCD", "C", ("D",))),
-                input_label="C", copy_label="C'", extension_labels=("D",))
+                extension_labels=("D",))
             residual = markov.verify_recovery(target, marginal, choi)
             assert residual > eps_feasible, f"{name}: the Petz map recovers within {residual:.3e}"
         assert decided["least_squares"] >= 40 and decided["petz"] >= 40, decided

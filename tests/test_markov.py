@@ -501,6 +501,14 @@ class TestValidationBranches:
         with pytest.raises(LabelError, match="blocks need at least one remaining subsystem"):
             markov.operator_blocks(reg.make_state("GHZ3"), ["A", "B", "C"])
 
+    def test_block_labels_must_be_distinct(self):
+        with pytest.raises(LabelError, match=r"block labels must be distinct, got \['A', 'A'\]"):
+            markov.operator_blocks(reg.make_state("W4"), ["A", "A"])
+
+    def test_extend_to_labels_must_be_known(self):
+        with pytest.raises(LabelError, match="unknown label 'Z'"):
+            markov.marginal_block_consistency(reg.make_state("W4"), "B", {"C", "Z"})
+
     def test_keep_label_cannot_be_extended_to(self):
         with pytest.raises(LabelError, match="keep label 'B' cannot be part of extend_to"):
             markov.marginal_block_consistency(reg.make_state("W4"), "B", {"B", "C"})

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -422,8 +423,14 @@ class TestValidationBranches:
             qubit_state("A", np.eye(4) / 4)
 
     def test_choi_labels_must_be_distinct(self):
-        with pytest.raises(LabelError, match="Choi subsystem labels must be distinct"):
-            ChoiOperator(matrix=reg.make_channel_choi("APPEND_ZERO").matrix, copy_label="C")
+        with pytest.raises(LabelError, match="Choi extension labels must be distinct"):
+            ChoiOperator(matrix=np.eye(16) / 8, extension_labels=("D", "D"))
+
+    def test_choi_names_only_what_it_creates(self):
+        fields = [field.name for field in dataclasses.fields(ChoiOperator)]
+        assert fields == ["matrix", "extension_labels", "cp_flag"]
+        with pytest.raises(TypeError, match="act_on"):
+            ChoiOperator(matrix=reg.make_channel_choi("APPEND_ZERO").matrix, act_on="A")
 
     def test_choi_size_must_match_its_labels(self):
         with pytest.raises(ValueError, match=r"Choi matrix must be 8x8, got \(4, 4\)"):
