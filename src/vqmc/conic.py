@@ -21,12 +21,13 @@ answers nu = 0 (``debug == {"method": "petz"}``) exactly when it is FEASIBLE.
 
 :func:`sampling_overhead` then reads the least-squares solution of the
 linear system, which :class:`_RecoverySystem` computes without forming it:
-the system is one rest^2 x 4 matrix R of the marginal repeated on every
-2 x 2 block of J, so one SVD of R gives the min-norm solution, the residual
-and the null space. When the max-abs residual exceeds ``eps_infeasible`` no
-Hermitian-preserving recovery exists, and it returns INFEASIBLE
-(nu = +inf) with 0 iterations, the least-squares J as block ``J``, that
-residual as ``primal_residual`` and ``debug == {"method": "least_squares"}``.
+the system is one complex rest^2 x 4 matrix R, a reshape of the marginal,
+repeated on the vec coordinates of every 2 x 2 block of J, so one SVD of R
+gives the min-norm solution, the residual and the null space. When the
+max-abs residual exceeds ``eps_infeasible`` no Hermitian-preserving
+recovery exists, and it returns INFEASIBLE (nu = +inf) with 0 iterations,
+the least-squares J as block ``J``, that residual as ``primal_residual``
+and ``debug == {"method": "least_squares"}``.
 A residual above ``eps_feasible`` is then undetermined (MAX_ITER,
 0 iterations, ``{"method": "least_squares"}``).
 The overhead SDP, reduced to the solutions J = J_ls + N y of the same
@@ -132,11 +133,6 @@ def unsvec(vector: np.ndarray, dim: int) -> np.ndarray:
     matrix[..., iu, ju] = upper
     matrix[..., ju, iu] = upper.conj()
     return matrix
-
-
-# The svec basis matrices B_k = unsvec(e_k) of the Hermitian 2 x 2 matrices.
-_QUBIT_BASIS = unsvec(np.eye(4), 2)
-_QUBIT_BASIS.setflags(write=False)
 
 
 @lru_cache(maxsize=None)
@@ -357,8 +353,8 @@ def _interior_point(offsets, columns, cost, v, constant, config, limit=-math.inf
 
 
 def _trace_preservation_rows(choi_dim: int) -> np.ndarray:
-    """The matrices B_k (x) I_out, with <B_k (x) I, J> = svec(Tr_out J)_k."""
-    return np.kron(_QUBIT_BASIS, np.eye(choi_dim // 2))
+    """The matrices B_k (x) I_out, B_k = unsvec(e_k), with <B_k (x) I, J> = svec(Tr_out J)_k."""
+    return np.kron(unsvec(np.eye(4), 2), np.eye(choi_dim // 2))
 
 
 @lru_cache(maxsize=None)
@@ -386,11 +382,12 @@ class _RecoverySystem:
     which the map produces it, with C = ``act_on``.
     Computed on first use and kept: ``petz``, the Petz map's verified
     certificate from Tr_rest of the grouped target, and the block solve of
-    M svec(J) = b below, whose min-norm least-squares solution x_ls is
-    ``choi_ls`` as a matrix and whose null space has the orthonormal svec
-    basis ``null_basis`` (columns), of dimension (n^2 - 1) dim null(R).
+    M svec(J) = b below: its min-norm least-squares solution x_ls as the
+    matrix ``choi_ls``, with ``ls_gap`` = b - M x_ls and ``ls_min_eigenvalue``
+    for both questions, and its null space, of dimension ``nullity``, with the
+    orthonormal svec basis ``null_basis`` (columns) for the interior point.
     :meth:`certificate` builds and verifies every certificate,
-    :meth:`residual` measures any J (``ls_gap`` keeps b - M x_ls), and
+    :meth:`residual` measures any J, and
     :meth:`rows` gives the reference builders each row of M as the Hermitian
     matrix it pairs with J, from the adjoint of the block map.
 
@@ -401,17 +398,19 @@ class _RecoverySystem:
     Write J in 2 x 2 blocks J_op[d, c] = J[(d, o), (c, p)] over the outputs
     o, p < n. The fit rows say R(J_op) = T_op, the (o, p) block of the target,
     with R(X)[a, b] = sum_{c,d} rho[(a, d), (b, c)] X[d, c] on the grouped
-    marginal; the trace-preservation rows say sum_o J_oo = I. On the svec
-    bases R is one real rest^2 x 4 matrix acting alike on the real and
-    imaginary parts of a block's complex coordinates, so the off-diagonal
-    blocks are independent least-squares problems in R. An orthogonal
-    transform over o whose first row is 1/sqrt(n) separates the diagonal
-    blocks: their deviations from the mean solve against R, the mean
-    w against [R; sqrt(n) I], i.e. (R'R + n I) w = R' mean + svec(I). The
-    singular values of M are thus those of R, each n^2 - 1 times, and
-    sqrt(s^2 + n) of the mean, so ranks are cut at 1e-12 times the largest of
-    these, as a dense SVD of M cuts them, and the null space of M is
-    {N (x) H : R(N) = 0, H traceless Hermitian}.
+    marginal; the trace-preservation rows say sum_o J_oo = I. On vec
+    coordinates R is the complex rest^2 x 4 matrix R[(a, b), (d, c)] =
+    rho[(a, d), (b, c)]. As svec is an isometry and R(X') = R(X)', the
+    Hermitian least squares is the complex one, whose min-norm solution is
+    Hermitian: the off-diagonal blocks are independent least-squares
+    problems in R. An orthogonal transform over o whose first
+    row is 1/sqrt(n) separates the diagonal blocks: their deviations from
+    the mean solve against R, the mean m against [R; sqrt(n) I], i.e.
+    (R'R + n I) m = R' mean + vec(I). The singular values of M are thus
+    those of R, each n^2 - 1 times, and sqrt(s^2 + n) of the mean, so ranks
+    are cut at 1e-12 times the largest of these, as a dense SVD of M cuts
+    them, and the null space of M is {N (x) H : R(N) = 0, N and H Hermitian,
+    H traceless}.
     """
 
     def __init__(self, marginal: DensityOperator, target: DensityOperator):
@@ -430,6 +429,7 @@ class _RecoverySystem:
             )
         self.marginal, self.target, self.ext = marginal, target, ext
         self._rho = grouped.reshape(marginal.dim // 2, 2, marginal.dim // 2, 2)
+        self._fit = self._rho.transpose(0, 2, 1, 3).reshape(-1, 4)
 
     def certificate(self, choi: np.ndarray, cp: bool):
         """``(ChoiOperator, residual)`` of a Choi matrix on act_on -> (act_on, ext),
@@ -446,42 +446,55 @@ class _RecoverySystem:
 
     @cached_property
     def _factored(self):
-        """``(R, u, s, vt, rank)``: the fit matrix R and its SVD."""
-        fit = svec(np.einsum("adbc,kdc->kab", self._rho, _QUBIT_BASIS)).T
-        u, s, vt = np.linalg.svd(fit, full_matrices=fit.shape[0] < 4)
+        """``(u, s, vt, rank)``: the SVD of the fit matrix R."""
+        u, s, vt = np.linalg.svd(self._fit, full_matrices=len(self._fit) < 4)
         rank = int((s > 1e-12 * math.sqrt(s[0] ** 2 + self._n)).sum())
-        return fit, u, s, vt, rank
+        return u, s, vt, rank
+
+    @property
+    def nullity(self) -> int:
+        """The dimension (n^2 - 1) dim null(R) of the null space of M."""
+        return (self._n ** 2 - 1) * (4 - self._factored[3])
 
     @cached_property
     def null_basis(self) -> np.ndarray:
-        vt, rank = self._factored[3:]
-        null = np.einsum("kdc,mop->kmdocp", unsvec(vt[rank:], 2), _traceless_basis(self._n))
+        vt, rank = self._factored[2:]
+        # R(X') = R(X)': the Hermitian parts of the null vectors X and -iX span the
+        # Hermitian null space, whose projector is the sum of their svec outer products
+        vectors = vt[rank:].conj().reshape(-1, 2, 2)
+        parts = svec(np.concatenate([_hermitian_part(vectors), _hermitian_part(-1j * vectors)]))
+        hermitian = unsvec(np.linalg.eigh(parts.T @ parts)[1][:, rank:].T, 2)
+        null = np.einsum("kdc,mop->kmdocp", hermitian, _traceless_basis(self._n))
         return svec(null.reshape(-1, 2 * self._n, 2 * self._n)).T
 
     @cached_property
     def choi_ls(self) -> np.ndarray:
-        fit, u, s, vt, rank = self._factored
+        u, s, vt, rank = self._factored
         rest, n = len(self._rho), self._n
-        # complex svec coordinates of the target's blocks: svec(H1) + i svec(H2)
-        # for T_op = H1 + i H2 with H1, H2 Hermitian
-        target_blocks = self._target.reshape(rest, n, rest, n).transpose(1, 3, 0, 2)
-        coordinates = (svec(_hermitian_part(target_blocks))
-                       + 1j * svec(_hermitian_part(-1j * target_blocks)))
-        pinv = vt[:rank].T @ (u[:, :rank] / s[:rank]).T
-        blocks = coordinates @ pinv.T
-        diagonal = coordinates[range(n), range(n)].real
+        # vec coordinates of the target's blocks T_op[a, b] = T[(a, o), (b, p)],
+        # row n o + p, so that rows :: n + 1 are the diagonal blocks
+        targets = self._target.reshape(rest, n, rest, n).transpose(1, 3, 0, 2).reshape(n * n, -1)
+        # the pseudo-inverse of R, transposed to act on rows of coordinates
+        pinv = ((u[:, :rank] / s[:rank]) @ vt[:rank]).conj()
+        blocks = targets @ pinv
+        diagonal = targets[:: n + 1]
         mean = diagonal.mean(axis=0)
-        mean_block = np.linalg.solve(fit.T @ fit + n * np.eye(4), fit.T @ mean + svec(np.eye(2)))
+        # (R'R + n I) m = R' mean + vec(I): m is I / n plus a damped fit of the rest
+        identity = np.eye(2).reshape(4) / n
+        damped = s / (s ** 2 + n) * (u.conj().T @ (mean - self._fit @ identity))
+        mean_block = identity + vt[:len(s)].conj().T @ damped
         # in exact arithmetic the deviations sum to zero; re-centre them so that
         # rounding, amplified by 1 / sigma_min(R), cannot break Tr_out J = I
-        deviations = (diagonal - mean) @ pinv.T
-        blocks[range(n), range(n)] = deviations - deviations.mean(axis=0) + mean_block
-        choi = unsvec(blocks.real, 2) + 1j * unsvec(blocks.imag, 2)
-        return _hermitian_part(choi.transpose(2, 0, 3, 1).reshape(2 * n, 2 * n))
+        deviations = (diagonal - mean) @ pinv
+        blocks[:: n + 1] = deviations - deviations.mean(axis=0) + mean_block
+        choi = blocks.reshape(n, n, 2, 2).transpose(2, 0, 3, 1).reshape(2 * n, 2 * n)
+        return _hermitian_part(choi)
 
     def _image(self, choi: np.ndarray) -> np.ndarray:
-        """The extension the Choi matrix J makes of the marginal."""
-        image = np.einsum("adbc,docp->aobp", self._rho, choi.reshape(2, self._n, 2, self._n))
+        """The extension the Choi matrix J makes of the marginal, R on each block."""
+        rest, n = len(self._rho), self._n
+        blocks = choi.reshape(2, n, 2, n).transpose(1, 3, 0, 2).reshape(n * n, 4)
+        image = (self._fit @ blocks.T).reshape(rest, rest, n, n).transpose(0, 2, 1, 3)
         return image.reshape(self._target.shape)
 
     def gap(self, choi: np.ndarray) -> np.ndarray:
@@ -508,6 +521,11 @@ class _RecoverySystem:
     def ls_gap(self) -> np.ndarray:
         """b - M x_ls, the least-squares residual."""
         return self.gap(self.choi_ls)
+
+    @cached_property
+    def ls_min_eigenvalue(self) -> float:
+        """min(0, lambda_min(J_ls)), the least-squares answer's ``min_eigenvalue``."""
+        return min(0.0, float(np.linalg.eigvalsh(self.choi_ls)[0]))
 
     def residual(self, choi: np.ndarray) -> float:
         """max |M svec(J) - b|."""
@@ -603,12 +621,15 @@ def _solution(status: str, objective: float | None, blocks: dict, scalars: dict,
 def _split_solution(system: _RecoverySystem, status: str, j1: np.ndarray, j2: np.ndarray,
                     method: str, lower_bound: float, iterations: int) -> ConicSolution:
     """The ConicSolution of a split J1 - J2 with c2 = Tr J2 / 2, c1 = 1 + c2,
-    objective 1 + 2 c2 and the dual ``lower_bound`` it is certified against."""
+    objective c1 + c2 and the dual ``lower_bound`` it is certified against."""
     c2 = float(np.trace(j2).real) / 2
+    c1 = 1.0 + c2
+    # by weak duality only rounding can lift the bound above c1 + c2
+    lower_bound = min(lower_bound, c1 + c2)
     return _solution(
-        status, 1.0 + 2.0 * c2, {"J1": j1, "J2": j2}, {"c1": 1.0 + c2, "c2": c2},
+        status, c1 + c2, {"J1": j1, "J2": j2}, {"c1": c1, "c2": c2},
         system.residual(j1 - j2),
-        {"method": method, "lower_bound": lower_bound, "gap": 1.0 + 2.0 * c2 - lower_bound},
+        {"method": method, "lower_bound": lower_bound, "gap": c1 + c2 - lower_bound},
         iterations,
     )
 
@@ -927,10 +948,10 @@ def _system(marginal: DensityOperator, target: DensityOperator) -> _RecoverySyst
 
 
 def _least_squares_solution(system: _RecoverySystem, status: str) -> ConicSolution:
-    """A verdict that the least-squares residual decides alone: the
-    least-squares J as block ``J`` and its max-abs residual."""
-    return _solution(status, None, {"J": system.choi_ls}, {}, _maxabs(system.ls_gap),
-                     {"method": "least_squares"})
+    """A verdict that the least-squares residual decides alone: the system's
+    least-squares J as block ``J``, its max-abs residual and min eigenvalue."""
+    return ConicSolution(status, None, {"J": system.choi_ls}, {}, _maxabs(system.ls_gap),
+                         system.ls_min_eigenvalue, 0, {"method": "least_squares"})
 
 
 def _channel(system: _RecoverySystem, cfg: SolverConfig):
@@ -998,7 +1019,7 @@ def sampling_overhead(marginal: DensityOperator, target: DensityOperator,
         return OverheadResult(status=ls_status, nu=math.inf,
                               solution=_least_squares_solution(system, ls_status))
 
-    answer = None if system.null_basis.shape[1] else _dual_overhead(system)
+    answer = None if system.nullity else _dual_overhead(system)
     solution, choi_matrix, _ = answer or _reduced_overhead(system, cfg)
     if solution.status != OPTIMAL:
         return OverheadResult(status=solution.status, nu=math.inf, solution=solution)

@@ -65,7 +65,7 @@ def test_readme_library_example_prints_what_it_says(capsys):
     examples = re.findall(r"```python\n(.*?)```", readme, flags=re.DOTALL)
     assert len(examples) == 1
     exec(examples[0], {})
-    assert capsys.readouterr().out == "True INFEASIBLE 1.5849625007211565\n"
+    assert capsys.readouterr().out == "True INFEASIBLE 1.584962500721156\n"
 
 
 def test_every_name_the_readme_cites_exists():
