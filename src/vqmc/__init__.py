@@ -1,9 +1,9 @@
 """Virtual quantum Markov chain analysis for four-qubit states.
 
 Decides, certifies, and quantifies recoverability of a four-qubit state
-from its three-qubit marginal: structural kernel-inclusion tests, exact and
-approximate channel certification through an embedded SDP engine, and
-quasiprobability sampling-overhead computation.
+from its three-qubit marginal: structural kernel-inclusion tests, channel
+certification by least squares and the Petz map, and the quasiprobability
+sampling overhead from a Bloch-ball dual or an interior-point SDP.
 
 ``import vqmc`` loads no submodule and no numpy: each public name, and each
 of the submodules below, is imported on its first access (PEP 562).

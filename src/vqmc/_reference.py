@@ -131,7 +131,7 @@ def solve(problem: ConicProblem, config: SolverConfig | None = None) -> ConicSol
     counts the Newton steps of both phases and
     ``debug["residual_history"]`` holds the complementarity gap before each.
     """
-    cfg = config or SolverConfig()
+    cfg = config or conic._DEFAULT_CONFIG
     problem.validate()
     # x holds the svec of each PSD block, then the free scalars
     lengths = [(name, dim * dim) for name, dim in problem.psd_blocks]

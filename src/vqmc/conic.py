@@ -4,13 +4,14 @@ Both recovery questions are answered from one :class:`_RecoverySystem` per
 (marginal, target) pair: it validates the pair once, groups both states by
 its layout (rest, C, ext), and on first use builds the Petz map and solves
 the real linear system M svec(J) = b (trace preservation plus the
-entrywise reconstruction of the target from the marginal), which no other
-code forms. :func:`cptp_certify` and :func:`sampling_overhead` take it from
-a one-slot cache, so asking both questions of the same two state objects,
-as :func:`recoverability_sweep` does, builds one system. Complex Hermitian
-d x d variables are vectorized to real vectors of length d^2 (diagonal
-entries, then sqrt(2)-scaled real and imaginary upper triangles), which
-preserves inner products and keeps all constraint data real.
+entrywise reconstruction of the target from the marginal), whose one
+statement is the block map :meth:`_RecoverySystem.gap`. :func:`cptp_certify`
+and :func:`sampling_overhead` take it from a one-slot cache, so asking both
+questions of the same two state objects, as :func:`recoverability_sweep`
+does, builds one system. Complex Hermitian d x d variables are vectorized
+to real vectors of length d^2 (diagonal entries, then sqrt(2)-scaled real
+and imaginary upper triangles), which preserves inner products and keeps
+all constraint data real.
 
 Channel recovery is decided without an SDP by one rule, :func:`_channel`:
 the least-squares residual of the linear system rules out every
@@ -54,9 +55,9 @@ PSD, and a phase 2 on the objective; see its docstring for the verdicts.
 Nothing in the recovery answers calls it: it serves generic problems, the
 reference builders :func:`build_cptp_feasibility` and
 :func:`build_overhead_problem` (whose constraint matrices
-:meth:`_RecoverySystem.rows` forms as the adjoint of the same block map at
-each svec basis matrix of its output), and the tests that compare against
-them. That reference route (``solve``, the builders, :class:`Constraint`,
+:meth:`_RecoverySystem.rows` reads off the same block map, one column of M
+per svec basis matrix of J), and the tests that compare against them.
+That reference route (``solve``, the builders, :class:`Constraint`,
 :class:`ConicProblem` and ``_affine_solutions``) lives in
 :mod:`vqmc._reference`, which this module imports on the first access to
 one of those names, so no recovery answer pays for loading it.
@@ -143,6 +144,12 @@ def _traceless_basis(dim: int) -> np.ndarray:
     return basis
 
 
+def _kron_traceless(inputs: np.ndarray, n: int) -> np.ndarray:
+    """Orthonormal svec columns N (x) H: N of the orthonormal 2 x 2 ``inputs``, H traceless."""
+    products = np.einsum("kdc,mop->kmdocp", inputs, _traceless_basis(n))
+    return svec(products.reshape(-1, 2 * n, 2 * n)).T
+
+
 def _hermitian_part(matrix: np.ndarray) -> np.ndarray:
     return (matrix + np.swapaxes(matrix, -1, -2).conj()) / 2
 
@@ -225,6 +232,8 @@ _STEP_FRACTION = 0.98
 _SCHUR_RCOND = 1e-15
 # Give up (MAX_ITER) when the gap has not halved over this many Newton steps.
 _STALL_STEPS = 5
+# The settings of every call that passes no config.
+_DEFAULT_CONFIG = SolverConfig()
 
 
 def _inner(a: np.ndarray, b: np.ndarray) -> float:
@@ -352,21 +361,15 @@ def _interior_point(offsets, columns, cost, v, constant, config, limit=-math.inf
 # ---------------------------------------------------------------------------
 
 
-def _trace_preservation_rows(choi_dim: int) -> np.ndarray:
-    """The matrices B_k (x) I_out, B_k = unsvec(e_k), with <B_k (x) I, J> = svec(Tr_out J)_k."""
-    return np.kron(unsvec(np.eye(4), 2), np.eye(choi_dim // 2))
-
-
 @lru_cache(maxsize=None)
 def _tp_compatible_basis(choi_dim: int) -> np.ndarray:
     """Read-only orthonormal svec basis (columns) of {X : Tr_out X = (Tr X / 2) I_2}.
 
-    The complement is spanned by the three traceless trace-preservation
-    rows: Tr_out X is a multiple of I_2 iff its traceless part vanishes.
+    X = A (x) I / n + sum_m A_m (x) H_m (H_m traceless on the n outputs) has
+    Tr_out X = A, so A is a multiple of I: span I / sqrt(choi_dim) and all A_m (x) H_m.
     """
-    rows = svec(_trace_preservation_rows(choi_dim))
-    traceless = np.vstack([rows[0] - rows[1], rows[2:]])
-    basis = np.linalg.svd(traceless)[2][3:].T.copy()
+    identity = svec(np.eye(choi_dim))[:, None] / math.sqrt(choi_dim)
+    basis = np.hstack([identity, _kron_traceless(unsvec(np.eye(4), 2), choi_dim // 2)])
     basis.setflags(write=False)
     return basis
 
@@ -383,13 +386,12 @@ class _RecoverySystem:
     Computed on first use and kept: ``petz``, the Petz map's verified
     certificate from Tr_rest of the grouped target, and the block solve of
     M svec(J) = b below: its min-norm least-squares solution x_ls as the
-    matrix ``choi_ls``, with ``ls_gap`` = b - M x_ls and ``ls_min_eigenvalue``
-    for both questions, and its null space, of dimension ``nullity``, with the
-    orthonormal svec basis ``null_basis`` (columns) for the interior point.
-    :meth:`certificate` builds and verifies every certificate,
-    :meth:`residual` measures any J, and
-    :meth:`rows` gives the reference builders each row of M as the Hermitian
-    matrix it pairs with J, from the adjoint of the block map.
+    matrix ``choi_ls``, with ``ls_gap`` = b - M x_ls, its max ``ls_residual``
+    and ``ls_min_eigenvalue`` for both questions, and its null space, of
+    dimension ``nullity``, with the orthonormal svec basis ``null_basis``
+    (columns) for the interior point. :meth:`gap`, the block map, states M;
+    :meth:`residual` measures any J by it, :meth:`rows` reads M's rows off it
+    for the reference builders, and :meth:`certificate` verifies certificates.
 
     The first four rows of M are trace preservation, Tr_out J = I with
     b = svec(I_2); the rest are the entrywise reconstruction of the target
@@ -428,8 +430,8 @@ class _RecoverySystem:
                 "infeasible problem"
             )
         self.marginal, self.target, self.ext = marginal, target, ext
-        self._rho = grouped.reshape(marginal.dim // 2, 2, marginal.dim // 2, 2)
-        self._fit = self._rho.transpose(0, 2, 1, 3).reshape(-1, 4)
+        self._rest = rest = marginal.dim // 2
+        self._fit = grouped.reshape(rest, 2, rest, 2).transpose(0, 2, 1, 3).reshape(-1, 4)
 
     def certificate(self, choi: np.ndarray, cp: bool):
         """``(ChoiOperator, residual)`` of a Choi matrix on act_on -> (act_on, ext),
@@ -440,7 +442,7 @@ class _RecoverySystem:
     @cached_property
     def petz(self):
         """The Petz map's ``(ChoiOperator, residual)``, which no tolerance affects."""
-        rest = len(self._rho)
+        rest = self._rest
         rho_out = np.trace(self._target.reshape(rest, self._n, rest, self._n), axis1=0, axis2=2)
         return self.certificate(_petz_choi(rho_out, _output_trace(rho_out)), cp=True)
 
@@ -464,13 +466,12 @@ class _RecoverySystem:
         vectors = vt[rank:].conj().reshape(-1, 2, 2)
         parts = svec(np.concatenate([_hermitian_part(vectors), _hermitian_part(-1j * vectors)]))
         hermitian = unsvec(np.linalg.eigh(parts.T @ parts)[1][:, rank:].T, 2)
-        null = np.einsum("kdc,mop->kmdocp", hermitian, _traceless_basis(self._n))
-        return svec(null.reshape(-1, 2 * self._n, 2 * self._n)).T
+        return _kron_traceless(hermitian, self._n)
 
     @cached_property
     def choi_ls(self) -> np.ndarray:
         u, s, vt, rank = self._factored
-        rest, n = len(self._rho), self._n
+        rest, n = self._rest, self._n
         # vec coordinates of the target's blocks T_op[a, b] = T[(a, o), (b, p)],
         # row n o + p, so that rows :: n + 1 are the diagonal blocks
         targets = self._target.reshape(rest, n, rest, n).transpose(1, 3, 0, 2).reshape(n * n, -1)
@@ -492,7 +493,7 @@ class _RecoverySystem:
 
     def _image(self, choi: np.ndarray) -> np.ndarray:
         """The extension the Choi matrix J makes of the marginal, R on each block."""
-        rest, n = len(self._rho), self._n
+        rest, n = self._rest, self._n
         blocks = choi.reshape(2, n, 2, n).transpose(1, 3, 0, 2).reshape(n * n, 4)
         image = (self._fit @ blocks.T).reshape(rest, rest, n, n).transpose(0, 2, 1, 3)
         return image.reshape(self._target.shape)
@@ -503,24 +504,26 @@ class _RecoverySystem:
                                svec(self._target - self._image(choi))])
 
     def rows(self):
-        """The rows of M as (Hermitian matrix G, rhs) pairs, <G, J> being the
-        row applied to svec(J). Trace preservation gives B_k (x) I_out; the
-        fit row at the target's svec basis matrix F is the adjoint of the map,
-        G[(d, o), (c, p)] = sum_ab F[(a, o), (b, p)] conj rho[(a, d), (b, c)].
+        """The rows of M as (Hermitian G, rhs) pairs, <G, J> the row applied to
+        svec(J), read off the block map: b = gap(0), column j of M is
+        b - gap(E_j) at the svec basis matrix E_j of J, and G = unsvec(M[i]).
 
         Returns ``(choi_dim, tp_rows, fit_rows)``.
         """
-        rest, n = len(self._rho), self._n
-        # the target's svec basis is transient: 16 MB for a 32 x 32 target
-        basis = unsvec(np.eye(self._target.size), len(self._target)).reshape(-1, rest, n, rest, n)
-        fit = np.einsum("laobp,adbc->ldocp", basis, self._rho.conj()).reshape(-1, 2 * n, 2 * n)
-        rhs = np.concatenate([svec(np.eye(2)), svec(self._target)]).tolist()
-        return 2 * n, list(zip(_trace_preservation_rows(2 * n), rhs[:4])), list(zip(fit, rhs[4:]))
+        dim = 2 * self._n
+        rhs = self.gap(np.zeros((dim, dim)))
+        matrix = rhs[:, None] - np.array([self.gap(e) for e in unsvec(np.eye(dim * dim), dim)]).T
+        rows = list(zip(unsvec(matrix, dim), rhs.tolist()))
+        return dim, rows[:4], rows[4:]
 
     @cached_property
     def ls_gap(self) -> np.ndarray:
         """b - M x_ls, the least-squares residual."""
         return self.gap(self.choi_ls)
+
+    @cached_property
+    def ls_residual(self) -> float:
+        return _maxabs(self.ls_gap)
 
     @cached_property
     def ls_min_eigenvalue(self) -> float:
@@ -587,18 +590,18 @@ def _petz_choi(rho_out: np.ndarray, rho_in: np.ndarray) -> np.ndarray:
     out_dim = rho_out.shape[0]
     w, v = linops.eigh(rho_out)
     sqrt_out = (v * np.sqrt(np.maximum(w, 0.0))) @ v.conj().T
-    w, v = linops.eigh(rho_in)
-    support = w > linops.DEFAULT_REL_TOL * w[-1]
+    w, v, threshold = linops._eigen_split(linops.hermitian_part(rho_in), linops.DEFAULT_REL_TOL)
+    support = w > threshold
     inv_sqrt_in = (v[:, support] / np.sqrt(w[support])) @ v[:, support].conj().T
     kernel = v[:, ~support] @ v[:, ~support].conj().T
     # R(|c><d|) = M' (|c><d| (x) I_ext) M with M = (K (x) I_ext) S
-    m = (np.kron(inv_sqrt_in, np.eye(out_dim // 2)) @ sqrt_out).reshape(2, out_dim // 2, out_dim)
+    m = (_kron(inv_sqrt_in, np.eye(out_dim // 2)) @ sqrt_out).reshape(2, out_dim // 2, out_dim)
     choi = np.einsum("ceo,dep->codp", m.conj(), m).reshape(2 * out_dim, 2 * out_dim)
-    choi = choi + np.kron(kernel.T, np.eye(out_dim) / out_dim)
+    choi = choi + _kron(kernel.T, np.eye(out_dim) / out_dim)
     # Tr_out J is I up to rounding that K amplifies when rho_C is nearly
     # singular; the congruence by its inverse square root restores exact TP
     w, v = np.linalg.eigh(_output_trace(choi))
-    fix = np.kron((v / np.sqrt(w)) @ v.conj().T, np.eye(out_dim))
+    fix = _kron((v / np.sqrt(w)) @ v.conj().T, np.eye(out_dim))
     return fix @ choi @ fix
 
 
@@ -651,7 +654,7 @@ def _reduced_overhead(system: _RecoverySystem, config: SolverConfig | None = Non
         maximize 1 - <Z2, J>  s.t.  Z1, Z2 >= 0,  <Z1 + Z2, G_i> = Tr G_i,
                                     <Z2, N_j> = 0.
 
-    J2 = s I with s = max(0, -lambda_min(J)) + 1 is strictly feasible, and
+    J2 = s I with s = 1 - min(0, lambda_min(J_ls)) is strictly feasible, and
     :func:`_interior_point` solves from there: OPTIMAL when it converges,
     MAX_ITER when it does not. The caller has ruled out a least-squares
     residual above ``eps_feasible`` (the dead zone). The final dual point,
@@ -660,7 +663,7 @@ def _reduced_overhead(system: _RecoverySystem, config: SolverConfig | None = Non
 
     Returns ``(solution, J, (Z1, Z2))`` with the repaired dual point.
     """
-    cfg = config or SolverConfig()
+    cfg = config or _DEFAULT_CONFIG
     choi_ls = system.choi_ls
     dim = choi_ls.shape[0]
     basis = _tp_compatible_basis(dim)
@@ -670,7 +673,7 @@ def _reduced_overhead(system: _RecoverySystem, config: SolverConfig | None = Non
     columns = (np.hstack([basis, np.zeros_like(null)]), np.hstack([basis, null]))
     offsets = (np.zeros_like(choi_ls), choi_ls)
     cost = np.concatenate([basis.T @ svec(identity), np.zeros(null.shape[1])])
-    start = max(0.0, -float(np.linalg.eigvalsh(choi_ls)[0])) + 1.0
+    start = 1.0 - system.ls_min_eigenvalue
     v = np.concatenate([basis.T @ svec(start * identity), np.zeros(null.shape[1])])
     status, v, slacks, duals, iterations, _ = _interior_point(offsets, columns, cost, v, 1.0, cfg)
 
@@ -712,19 +715,6 @@ def _bloch(r: np.ndarray) -> np.ndarray:
     return (r @ _PAULI.reshape(3, 4)).reshape(2, 2)
 
 
-def _bloch_roots(r: np.ndarray):
-    """(I + r . sigma)^(1/2) and its inverse for |r| < 1, from the
-    eigenvalues 1 -+ |r| of I + r . sigma."""
-    norm = math.sqrt(float(r @ r))
-    axis = _bloch(r / norm) if norm else np.zeros((2, 2))
-    low, high = math.sqrt(1.0 - norm), math.sqrt(1.0 + norm)
-
-    def with_roots(a, b):  # the matrix with eigenvalue a along -r and b along r
-        return ((b + a) * np.eye(2) + (b - a) * axis) / 2
-
-    return with_roots(low, high), with_roots(1.0 / low, 1.0 / high)
-
-
 def _weighted_gram(e: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Re sum_ij weights_ij e[k, i, j] conj(e[l, i, j]) for weights >= 0."""
     scaled = (e * np.sqrt(weights)).reshape(len(e), -1)
@@ -746,7 +736,8 @@ def _ball_point(choi: np.ndarray, r: np.ndarray):
     Lambda >= 0, J + Lambda = W^-1/2 (W^1/2 J W^1/2)_+ W^-1/2 >= 0.
     """
     n = len(choi) // 2
-    root, inverse_root = (_kron(k, np.eye(n)) for k in _bloch_roots(r))
+    w, u = np.linalg.eigh(np.eye(2) + _bloch(r))
+    root, inverse_root = (_kron((u * w ** p) @ u.conj().T, np.eye(n)) for p in (0.5, -0.5))
     w, v = np.linalg.eigh(root @ choi @ root)
     neg = w < 0
     m = inverse_root @ v
@@ -950,7 +941,7 @@ def _system(marginal: DensityOperator, target: DensityOperator) -> _RecoverySyst
 def _least_squares_solution(system: _RecoverySystem, status: str) -> ConicSolution:
     """A verdict that the least-squares residual decides alone: the system's
     least-squares J as block ``J``, its max-abs residual and min eigenvalue."""
-    return ConicSolution(status, None, {"J": system.choi_ls}, {}, _maxabs(system.ls_gap),
+    return ConicSolution(status, None, {"J": system.choi_ls}, {}, system.ls_residual,
                          system.ls_min_eigenvalue, 0, {"method": "least_squares"})
 
 
@@ -971,7 +962,7 @@ def _channel(system: _RecoverySystem, cfg: SolverConfig):
     the Petz map decides every pair.
     """
     if (cfg.eps_infeasible > system.target.dim * cfg.eps_feasible
-            and cfg.verdict(_maxabs(system.ls_gap)) == INFEASIBLE):
+            and cfg.verdict(system.ls_residual) == INFEASIBLE):
         return INFEASIBLE, None
     return cfg.verdict(system.petz[1]), system.petz
 
@@ -1002,7 +993,7 @@ def sampling_overhead(marginal: DensityOperator, target: DensityOperator,
     ``config.max_iterations`` Newton steps) for a null space, or when the
     dual's bounds do not meet.
     """
-    cfg = config or SolverConfig()
+    cfg = config or _DEFAULT_CONFIG
     system = _system(marginal, target)
     status, petz = _channel(system, cfg)
     if status == FEASIBLE:
@@ -1014,7 +1005,7 @@ def sampling_overhead(marginal: DensityOperator, target: DensityOperator,
                               certificate_residual=residual, solution=solution)
 
     # every solution J = J_ls + N y has the residual of J_ls
-    ls_status = cfg.verdict(_maxabs(system.ls_gap))
+    ls_status = cfg.verdict(system.ls_residual)
     if ls_status != FEASIBLE:
         return OverheadResult(status=ls_status, nu=math.inf,
                               solution=_least_squares_solution(system, ls_status))
@@ -1049,7 +1040,7 @@ def cptp_certify(marginal: DensityOperator, target: DensityOperator,
     :func:`build_cptp_feasibility` with :func:`solve` is the SDP route to the
     same verdict.
     """
-    cfg = config or SolverConfig()
+    cfg = config or _DEFAULT_CONFIG
     system = _system(marginal, target)
     status, petz = _channel(system, cfg)
     if petz is None:

@@ -376,11 +376,16 @@ def state_to_dict(rho: DensityOperator) -> dict:
 
 
 def _numbers_only(value) -> bool:
-    """True when every leaf of the nested lists is an int or a float, not a bool;
-    ``np.asarray(..., dtype=float)`` alone would take "0.5" and false as numbers."""
-    if isinstance(value, list):
-        return all(_numbers_only(item) for item in value)
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """True when every leaf of the nested lists, walked without recursion, is an int
+    or a float, not a bool; ``np.asarray(..., dtype=float)`` takes "0.5" and false."""
+    pending = [value]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, list):
+            pending.extend(item)
+        elif not isinstance(item, (int, float)) or isinstance(item, bool):
+            return False
+    return True
 
 
 def state_from_dict(payload: dict) -> DensityOperator:
@@ -427,7 +432,11 @@ def state_from_dict(payload: dict) -> DensityOperator:
 
 def load_state(path) -> DensityOperator:
     with open(path, "r", encoding="utf-8") as fh:
-        return state_from_dict(json.load(fh))
+        try:
+            payload = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to read") from None
+    return state_from_dict(payload)
 
 
 def save_state(rho: DensityOperator, path) -> None:

@@ -579,6 +579,21 @@ class TestProcessBoundary:
         assert len(lines) == 1, proc.stderr
         assert lines[0].startswith("error: ") and "non-finite" in lines[0]
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"labels": %s%s, "re": [[1]], "im": [[0]]}' % ("[" * 5000, "]" * 5000),
+         "nested too deeply"),
+        ('{"labels": ["A"], "re": %s1%s, "im": [[0]]}' % ("[" * 900, "]" * 900),
+         "'re' must be a matrix of numbers"),
+    ], ids=["labels 5000 deep", "re 900 deep"])
+    def test_deeply_nested_state_file_prints_one_error_line(self, tmp_path, text, message):
+        path = tmp_path / "state.json"
+        path.write_text(text)
+        proc = run_process("inclusion", str(path))
+        assert proc.returncode == 1 and proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and "Traceback" not in proc.stderr, proc.stderr
+        assert lines[0].startswith("error: ") and message in lines[0]
+
 
 class TestLeakPayload:
     def test_first_leaking_vector_is_reported(self):

@@ -855,7 +855,7 @@ def inconsistent_cases():
 INCONSISTENT_CASES = inconsistent_cases()
 
 
-def assert_matches_admm(marginal, target, result):
+def assert_matches_the_reference_sdp(marginal, target, result):
     """The overhead of a unique extension, answered by the dual route, against
     the reference solve of the full, unreduced overhead SDP, which takes the
     recovery system's dense rows."""
@@ -935,7 +935,7 @@ class TestLeastSquaresFrontEnd:
         w4 = reg.make_state("W4")
         marginal = reg.partial_trace(w4, "D")
         result = conic.sampling_overhead(marginal, w4)
-        assert_matches_admm(marginal, w4, result)
+        assert_matches_the_reference_sdp(marginal, w4, result)
         assert abs(result.c1 + result.c2 - 3.0) <= 1e-12
 
     def test_rho2_reaches_the_petz_check(self):
@@ -947,7 +947,7 @@ class TestLeastSquaresFrontEnd:
     def test_virtual_only_state_reaches_the_sdp(self):
         marginal, state = virtual_only_state(np.random.default_rng(13))
         result = conic.sampling_overhead(marginal, state)
-        assert_matches_admm(marginal, state, result)
+        assert_matches_the_reference_sdp(marginal, state, result)
         assert result.c1 + result.c2 > 1.0
 
 
@@ -1060,7 +1060,7 @@ class TestInteriorPointOverhead:
     @pytest.mark.parametrize("seed", range(20))
     def test_virtual_only_states_match_admm(self, seed):
         marginal, state = virtual_only_state(np.random.default_rng([seed, 3]))
-        assert_matches_admm(marginal, state, conic.sampling_overhead(marginal, state))
+        assert_matches_the_reference_sdp(marginal, state, conic.sampling_overhead(marginal, state))
 
     def test_iteration_cap_gives_max_iter(self, monkeypatch):
         w4 = reg.make_state("W4")
@@ -1802,3 +1802,97 @@ class TestBlockCoordinates:
                 assert result.solution.debug["gap"] >= 0.0, f"state {k}"
         # W4 twice, MIX(1), and every virtual-only and HPTP-extension state
         assert duals == 3 + 89 + 1
+
+
+# ---------------------------------------------------------------------------
+# The recovery primitives against independent oracles: the TP-compatible and
+# null-space bases of the interior point, the Bloch roots of the ball, and
+# one least-squares residual per state
+# ---------------------------------------------------------------------------
+
+
+PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def tp_compatible_projector_by_complement(choi_dim):
+    """The projector onto the complement of the three traceless
+    trace-preservation rows B_k (x) I, B_k = unsvec(e_k), of a Choi matrix."""
+    rows = conic.svec(np.kron(conic.unsvec(np.eye(4), 2), np.eye(choi_dim // 2)))
+    traceless = np.vstack([rows[0] - rows[1], rows[2:]])
+    complement = np.linalg.svd(traceless)[2][3:].T
+    return complement @ complement.T
+
+
+def ball_value_by_closed_form_roots(choi, r):
+    """Tr[(W^1/2 J W^1/2)_-] for W = (I + r . sigma) (x) I, |r| < 1, with
+    W^1/2 built from the eigenvalues 1 -+ |r| of I + r . sigma along -+ r."""
+    norm = float(np.linalg.norm(r))
+    axis = np.einsum("k,kij->ij", r / norm, PAULI)
+    low, high = math.sqrt(1.0 - norm), math.sqrt(1.0 + norm)
+    root = np.kron(((high + low) * np.eye(2) + (high - low) * axis) / 2, np.eye(len(choi) // 2))
+    w = np.linalg.eigvalsh(root @ choi @ root)
+    return -float(w[w < 0].sum())
+
+
+NULL_SPACE_CASES = [name for name, case in NULLITY_CASES.items()
+                    if conic._RecoverySystem(*case).nullity]
+
+
+class TestRecoveryPrimitives:
+    @pytest.mark.parametrize("dim", [8, 16])
+    def test_tp_compatible_basis(self, dim):
+        basis = conic._tp_compatible_basis(dim)
+        assert basis.shape == (dim * dim, dim * dim - 3)
+        assert np.abs(basis.T @ basis - np.eye(dim * dim - 3)).max() <= 1e-12
+        n = dim // 2
+        traced = np.trace(conic.unsvec(basis.T, dim).reshape(-1, 2, n, 2, n), axis1=2, axis2=4)
+        scalar = np.trace(traced, axis1=1, axis2=2)[:, None, None] / 2 * np.eye(2)
+        assert np.abs(traced - scalar).max() <= 1e-12  # Tr_out of every column is a multiple of I
+        projector = tp_compatible_projector_by_complement(dim)
+        assert np.abs(basis @ basis.T - projector).max() <= 1e-12
+
+    @pytest.mark.parametrize("name", NULL_SPACE_CASES)
+    def test_null_basis_is_annihilated_by_the_choi_application_system(self, name):
+        marginal, target = NULLITY_CASES[name]
+        null = conic._RecoverySystem(marginal, target).null_basis
+        assert np.abs(null.T @ null - np.eye(null.shape[1])).max() <= 1e-12
+        act_on = reg._acted_on(marginal.labels, target.labels)[0]
+        matrix, _ = recovery_system_by_choi_application(marginal, target, act_on)
+        # the rank rule: N spans singular values of M at most 1e-12 times its largest
+        assert np.linalg.norm(matrix @ null, 2) <= 1e-12 * np.linalg.norm(matrix, 2) + 1e-15
+
+    def test_there_are_null_space_cases(self):
+        assert len(NULL_SPACE_CASES) >= 10
+
+    @pytest.mark.parametrize("name", list(DUAL_CASES))
+    def test_ball_point_matches_the_closed_form_roots(self, name):
+        choi = conic._RecoverySystem(*DUAL_CASES[name]).choi_ls
+        n = len(choi) // 2
+        rng = np.random.default_rng(34)
+        for radius in [*rng.uniform(0.0, 1.0, size=6), 0.999]:
+            direction = rng.normal(size=3)
+            r = radius * direction / np.linalg.norm(direction)
+            value, _, _, duals, _ = conic._ball_point(choi, r)
+            expected = ball_value_by_closed_form_roots(choi, r)
+            assert abs(value - expected) <= 1e-12 * max(1.0, expected), (radius, value, expected)
+            weight = np.kron(np.eye(2) + np.einsum("k,kij->ij", r, PAULI), np.eye(n))
+            assert np.abs(duals[0] + duals[1] - weight).max() <= 1e-12
+
+    def test_default_answers_compute_the_least_squares_residual_once(self, monkeypatch):
+        marginal, target = fresh_pair("GHZ4")
+        counts = count_calls(monkeypatch, [(SolverConfig, "__post_init__")])
+        measured = []
+        maxabs = conic._maxabs
+
+        def recording(v):
+            measured.append(v)
+            return maxabs(v)
+
+        monkeypatch.setattr(conic, "_maxabs", recording)
+        cptp = conic.cptp_certify(marginal, target)[0]
+        overhead = conic.sampling_overhead(marginal, target)
+        assert cptp.debug == overhead.solution.debug == {"method": "least_squares"}
+        assert counts == {"__post_init__": 0}
+        system = conic._last_system
+        assert system.target is target
+        assert sum(v is system.ls_gap for v in measured) == 1

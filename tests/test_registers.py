@@ -302,6 +302,16 @@ class TestJsonFormat:
             reg.state_from_dict(payload)
         assert str(caught.value) == f"state payload {key!r} must be a matrix of numbers"
 
+    def test_rejects_a_part_nested_deeper_than_the_call_stack(self):
+        # a recursive walk of the nested lists would raise RecursionError here
+        deep = 1.0
+        for _ in range(900):
+            deep = [deep]
+        payload = {"labels": ["A"], "re": deep, "im": [[0.0, 0.0], [0.0, 0.0]]}
+        with pytest.raises(ValueError) as caught:
+            reg.state_from_dict(payload)
+        assert str(caught.value) == "state payload 're' must be a matrix of numbers"
+
     @pytest.mark.parametrize("key", ["re", "im"])
     @pytest.mark.parametrize("entry", [math.inf, -math.inf, math.nan])
     def test_rejects_a_non_finite_entry(self, key, entry):
