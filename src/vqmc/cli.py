@@ -110,12 +110,14 @@ def _report(command: str, inputs: dict, results: dict, config: dict | None = Non
 
 
 def _print(report: dict, args) -> None:
+    """Write the report to ``--out``, if given, then to stdout, so that an
+    unwritable path leaves nothing on stdout."""
     indent = 1 if args.pretty else None
     text = _json.dumps(report, indent=indent) + "\n"
-    sys.stdout.write(text)
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    sys.stdout.write(text)
 
 
 def cmd_state(args) -> int:
@@ -191,7 +193,12 @@ def _parse_grid(text: str) -> list[float]:
         parts = text.split(":")
         if len(parts) != 3:
             raise UsageError(f"grid must be start:stop:count or a comma list, got {text!r}")
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+        start, stop = float(parts[0]), float(parts[1])
+        try:
+            count = int(parts[2])
+        except ValueError:
+            raise UsageError(f"grid {text!r}: the count must be an integer, "
+                             f"got {parts[2]!r}") from None
         step = (stop - start) / (count - 1) if count > 1 else 0.0
         grid = [start + k * step for k in range(count)]
     else:
@@ -264,18 +271,13 @@ def _demo_two_qubit_recovery(args) -> int:
     """Blocks of the four-qubit W state over A, traced to B: the pairwise
     linearity test for recovering the state from its two-qubit marginal."""
     from . import markov, registers
-    from .registers import _trace_out_axes
 
-    w4 = registers.make_state("W4")
-    report = markov.marginal_block_consistency(w4, keep="B", extend_to={"C", "D"})
-    blocks = markov.operator_blocks(w4, ["A"])
-    traced = {
-        f"Tr_CD M_{blk.row}{blk.col}": _trace_out_axes(blk.matrix, 3, [1, 2]).real.tolist()
-        for blk in blocks
-    }
+    report = markov.marginal_block_consistency(registers.make_state("W4"), keep="B",
+                                               extend_to={"C", "D"})
     results = {
         "consistency": report.to_dict(),
-        "traced_blocks_on_B": traced,
+        "traced_blocks_on_B": {f"Tr_CD M_{blk.row}{blk.col}": traced.real.tolist()
+                               for blk, traced in zip(report.blocks, report.traced)},
         "conclusion": (
             "pairwise traced-block comparison finds no equal pair, so the "
             "linearity obstruction alone does not rule out a B -> BCD map; "
@@ -283,7 +285,7 @@ def _demo_two_qubit_recovery(args) -> int:
         ),
     }
     if args.verbose:
-        for blk in blocks:
+        for blk in report.blocks:
             results[f"M_{blk.row}{blk.col}_re"] = blk.matrix.real.tolist()
     _print(_report("demo", {"name": args.name}, results, {}), args)
     return EXIT_PASS
@@ -306,16 +308,9 @@ def _demo_nonconvexity(args, config) -> int:
     for row in sweep.rows:
         if row.error is not None:
             raise ValueError(row.error)
-        rows.append({
-            "lambda": row.p,
-            "inclusion": row.inclusion_verdict,
-            "inclusion_max_leak": row.inclusion_max_leak,
-            "cptp": row.cptp_status,
-            "hptp": row.hptp_status,
-            "nu": row.nu,
-        })
-        if args.verbose:
-            rows[-1].update(cptp_method=row.cptp_method, hptp_method=row.hptp_method)
+        rows.append({"lambda" if key == "p" else key: value
+                     for key, value in row.to_dict(args.verbose).items()
+                     if key != "cptp_residual"})
     start, midpoint, end = rows
     # a finite nu at both endpoints, and a proven nu = inf at the midpoint
     if start["hptp"] == end["hptp"] == conic.OPTIMAL and midpoint["hptp"] == conic.INFEASIBLE:

@@ -72,8 +72,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import linops, markov
-from .registers import (ChoiOperator, DensityOperator, _acted_on, _output_trace, _permuted,
-                        partial_trace)
+from .registers import (TRACE_ATOL, ChoiOperator, DensityOperator, _acted_on, _output_trace,
+                        _permuted, partial_trace)
 
 OPTIMAL = "OPTIMAL"
 FEASIBLE = "FEASIBLE"
@@ -380,7 +380,8 @@ class _RecoverySystem:
 
     The pair fixes the layout: the map acts on ``act_on`` and creates the
     extension ``ext`` right after it (:func:`registers._acted_on`).
-    Construction checks that Tr_ext of the target is the marginal, and groups
+    Construction checks that the target has unit trace (within
+    ``registers.TRACE_ATOL``) and that Tr_ext of it is the marginal, and groups
     the marginal as (rest, C) and the target as (rest, C, ext), the order in
     which the map produces it, with C = ``act_on``.
     Computed on first use and kept: ``petz``, the Petz map's verified
@@ -417,6 +418,10 @@ class _RecoverySystem:
 
     def __init__(self, marginal: DensityOperator, target: DensityOperator):
         act_on, ext = _acted_on(marginal.labels, target.labels)
+        # the tolerances are absolute, so a verdict on a rescaled pair would depend on the scale
+        if abs(target.trace() - 1.0) > TRACE_ATOL:
+            raise ValueError(f"target has trace {target.trace()!r}, not 1; the recovery "
+                             "questions are asked of a normalized state")
         order = [lab for lab in marginal.labels if lab != act_on] + [act_on]
         grouped = _permuted(marginal.matrix, marginal.labels, order)
         self._target = _permuted(target.matrix, target.labels, order + list(ext))
@@ -991,7 +996,8 @@ def sampling_overhead(marginal: DensityOperator, target: DensityOperator,
     solution J is unique, with certified bounds on both sides, and the
     interior-point solve (:func:`_reduced_overhead`, capped at
     ``config.max_iterations`` Newton steps) for a null space, or when the
-    dual's bounds do not meet.
+    dual's bounds do not meet. A target whose trace is not 1 raises
+    ``ValueError``: the tolerances are absolute.
     """
     cfg = config or _DEFAULT_CONFIG
     system = _system(marginal, target)
@@ -1001,23 +1007,19 @@ def sampling_overhead(marginal: DensityOperator, target: DensityOperator,
         blocks = {"J1": choi.matrix, "J2": np.zeros_like(choi.matrix)}
         solution = _solution(OPTIMAL, 1.0, blocks, {"c1": 1.0, "c2": 0.0}, residual,
                              {"method": "petz"})
-        return OverheadResult(status=OPTIMAL, nu=0.0, c1=1.0, c2=0.0, choi_difference=choi,
-                              certificate_residual=residual, solution=solution)
-
-    # every solution J = J_ls + N y has the residual of J_ls
-    ls_status = cfg.verdict(system.ls_residual)
-    if ls_status != FEASIBLE:
-        return OverheadResult(status=ls_status, nu=math.inf,
-                              solution=_least_squares_solution(system, ls_status))
-
-    answer = None if system.nullity else _dual_overhead(system)
-    solution, choi_matrix, _ = answer or _reduced_overhead(system, cfg)
+    elif cfg.verdict(system.ls_residual) != FEASIBLE:
+        # every solution J = J_ls + N y has the residual of J_ls
+        solution = _least_squares_solution(system, cfg.verdict(system.ls_residual))
+    else:
+        answer = None if system.nullity else _dual_overhead(system)
+        solution, choi_matrix, _ = answer or _reduced_overhead(system, cfg)
     if solution.status != OPTIMAL:
         return OverheadResult(status=solution.status, nu=math.inf, solution=solution)
 
-    c1 = solution.scalar_values["c1"]
-    c2 = solution.scalar_values["c2"]
-    difference, residual = system.certificate(choi_matrix, cp=False)
+    # the Petz channel certifies nu = 0, a split J1 - J2 its own c1 + c2
+    difference, residual = (petz if status == FEASIBLE
+                            else system.certificate(choi_matrix, cp=False))
+    c1, c2 = solution.scalar_values["c1"], solution.scalar_values["c2"]
     return OverheadResult(status=OPTIMAL, nu=math.log2(c1 + c2), c1=c1, c2=c2,
                           choi_difference=difference, certificate_residual=residual,
                           solution=solution)
@@ -1038,7 +1040,7 @@ def cptp_certify(marginal: DensityOperator, target: DensityOperator,
     above ``eps_infeasible`` and MAX_ITER (the dead zone) in between, with
     the verified residual as ``primal_residual``.
     :func:`build_cptp_feasibility` with :func:`solve` is the SDP route to the
-    same verdict.
+    same verdict. A target whose trace is not 1 raises ``ValueError``.
     """
     cfg = config or _DEFAULT_CONFIG
     system = _system(marginal, target)

@@ -137,12 +137,16 @@ class ConsistencyReport:
     Inconsistent means two blocks share the same traced part (within tol)
     but differ as full operators, which no linear map can reproduce. The
     pairwise test is one-sided: a consistent report does not certify that a
-    channel exists.
+    channel exists. ``blocks`` are the compared blocks in row-major order and
+    ``traced`` stacks their traces down to the kept label; both stay out of
+    :meth:`to_dict` and ``==``.
     """
 
     consistent: bool
     witnesses: tuple[ConsistencyWitness, ...]
     tol: float
+    blocks: tuple[BlockOperator, ...] = field(default=(), compare=False, repr=False)
+    traced: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -372,22 +376,16 @@ def marginal_block_consistency(
 
     blocks = operator_blocks(rho, complement)
     on_labels = blocks[0].on_labels
-    drop_axes = [on_labels.index(lab) for lab in on_labels if lab in extend_to]
-    traced = [_trace_out_axes(block.matrix, len(on_labels), drop_axes) for block in blocks]
-
-    witnesses = []
-    for a in range(len(blocks)):
-        for b in range(a + 1, len(blocks)):
-            traced_gap = float(np.abs(traced[a] - traced[b]).max())
-            if traced_gap <= tol:
-                block_gap = float(np.abs(blocks[a].matrix - blocks[b].matrix).max())
-                if block_gap > tol:
-                    witnesses.append(
-                        ConsistencyWitness(
-                            first=(blocks[a].row, blocks[a].col),
-                            second=(blocks[b].row, blocks[b].col),
-                            traced_gap=traced_gap,
-                            block_gap=block_gap,
-                        )
-                    )
-    return ConsistencyReport(consistent=not witnesses, witnesses=tuple(witnesses), tol=tol)
+    stack = np.array([block.matrix for block in blocks])
+    traced = _trace_out_axes(stack, len(on_labels), [on_labels.index(lab) for lab in extend_to])
+    # pairs a < b in row-major order whose traced parts agree within tol
+    traced_gaps = np.abs(traced[:, None] - traced[None]).max(axis=(2, 3))
+    first, second = np.nonzero(np.triu(traced_gaps <= tol, 1))
+    block_gaps = np.abs(stack[first] - stack[second]).max(axis=(1, 2))
+    witnesses = tuple(
+        ConsistencyWitness((blocks[a].row, blocks[a].col), (blocks[b].row, blocks[b].col),
+                           float(traced_gaps[a, b]), float(gap))
+        for a, b, gap in zip(first, second, block_gaps) if gap > tol
+    )
+    return ConsistencyReport(consistent=not witnesses, witnesses=witnesses, tol=tol,
+                             blocks=tuple(blocks), traced=traced)

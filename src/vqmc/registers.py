@@ -218,13 +218,16 @@ def partial_trace(rho: DensityOperator, drop) -> DensityOperator:
 
 
 def _trace_out_axes(matrix: np.ndarray, n_qubits: int, axes) -> np.ndarray:
-    """Partial trace of a raw (not necessarily Hermitian) 2^n matrix over qubit axes."""
-    tensor_form = matrix.reshape((2,) * (2 * n_qubits))
+    """Partial trace over qubit axes of a raw (not necessarily Hermitian) 2^n
+    matrix, or of each matrix in a stack of them (the last two axes)."""
+    stack = matrix.shape[:-2]
+    tensor_form = matrix.reshape(stack + (2,) * (2 * n_qubits))
     for offset, axis in enumerate(sorted(axes)):
-        half = tensor_form.ndim // 2
-        tensor_form = np.trace(tensor_form, axis1=axis - offset, axis2=axis - offset + half)
+        # the trace so far has left n_qubits - offset ket and as many bra axes
+        axis += len(stack) - offset
+        tensor_form = np.trace(tensor_form, axis1=axis, axis2=axis + n_qubits - offset)
     dim = 2 ** (n_qubits - len(axes))
-    return tensor_form.reshape(dim, dim)
+    return tensor_form.reshape(stack + (dim, dim))
 
 
 def _permuted(matrix: np.ndarray, labels, order) -> np.ndarray:

@@ -300,6 +300,22 @@ class TestCertifyCommand:
         assert "counts as infeasible" in text
 
 
+class TestUnnormalizedStateFile:
+    @pytest.mark.parametrize("mode", ["cptp", "hptp"])
+    @pytest.mark.parametrize("scale", [1e-8, 1e-6, 1e3, 0.0])
+    def test_a_state_whose_trace_is_not_one_prints_one_error_line(self, capsys, tmp_path,
+                                                                   mode, scale):
+        ghz4 = reg.make_state("GHZ4")
+        state = reg.DensityOperator(register=ghz4.register, matrix=scale * ghz4.matrix,
+                                    normalized=False)
+        path = tmp_path / "state.json"
+        reg.save_state(state, path)
+        code, out, err = run(capsys, "certify", str(path), "--mode", mode)
+        assert code == cli.EXIT_ERROR and out == ""
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: target has trace {state.trace()!r}, not 1")
+
+
 class TestRelabeledStateFile:
     @pytest.fixture
     def w4_file(self, tmp_path):
@@ -342,6 +358,12 @@ class TestSweepCommand:
     def test_bad_grids_are_usage_errors(self, capsys, grid):
         code, out, err = run(capsys, "sweep", "--grid", grid)
         assert code == 1 and out == "" and err.startswith("error: grid")
+
+    @pytest.mark.parametrize("count", ["2.5", "1e9"])
+    def test_a_count_that_is_not_an_integer_is_named(self, capsys, count):
+        code, out, err = run(capsys, "sweep", "--grid", f"0:1:{count}")
+        assert code == 1 and out == ""
+        assert err == f"error: grid '0:1:{count}': the count must be an integer, got '{count}'\n"
 
     def test_single_point_grid(self):
         assert cli._parse_grid("0.5:1:1") == [0.5]
@@ -453,6 +475,19 @@ class TestReportContract:
         _, report = run_json(capsys, "inclusion", "--builtin", "GHZ4")
         assert set(report) == {"command", "inputs", "results", "config", "version", "timestamp"}
         assert report["version"] == cli.__version__
+
+    @pytest.mark.parametrize("argv", [("inclusion", "--builtin", "W4"),
+                                      ("certify", "--builtin", "W4", "--mode", "hptp")])
+    def test_out_is_written_before_stdout(self, capsys, tmp_path, argv):
+        path = tmp_path / "report.json"
+        _, out, _ = run(capsys, *argv, "--out", str(path))
+        assert path.read_text() == out
+        # so an unwritable path leaves only the error line
+        path = tmp_path / "no" / "report.json"
+        code, out, err = run(capsys, *argv, "--out", str(path))
+        assert code == cli.EXIT_ERROR and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: [Errno 2]")
+        assert not path.parent.exists()
 
     def test_infinity_never_a_bare_float(self, capsys):
         _, out, _ = run(capsys, "certify", "--builtin", "GHZ4", "--mode", "hptp")

@@ -1,4 +1,5 @@
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -500,6 +501,17 @@ class TestSweep:
         assert report.rows[1].error == "RuntimeError: boom"
         assert report.rows[0].inclusion_verdict is True
         assert report.rows[2].inclusion_verdict is True
+
+    @pytest.mark.parametrize("verbose", [False, True], ids=["plain", "verbose"])
+    def test_an_error_row_serializes_with_its_error(self, verbose):
+        # GHZ4 at a scale other than 1 is refused by the recovery questions
+        report = conic.recoverability_sweep(lambda p: scaled_ghz4(p)[1], [1.0, 1e3])
+        ok, failed = report.to_dict(verbose)["rows"]
+        assert "error" not in ok and ok["cptp"] == conic.INFEASIBLE
+        assert failed["error"] == report.rows[1].error
+        assert failed["error"].startswith("ValueError: target has trace 999.99")
+        assert set(failed) == set(ok) | {"error"}
+        assert failed["p"] == 1e3 and failed["inclusion"] is failed["nu"] is None
 
     def test_report_serializes(self):
         report = conic.recoverability_sweep(lambda p: reg.make_state("MIX", p=p), [0.5])
@@ -1280,6 +1292,97 @@ class TestDualRoute:
         assert result.solution.debug["method"] == "interior_point"
 
 
+def concave_quadratic(x):
+    """A point in _line_search's form, (f, ...), of f(x) = -(x - 1)^2."""
+    return (-(x - 1.0) ** 2,)
+
+
+class TestDualRouteSafeguards:
+    def test_ascent_direction_is_the_newton_step_of_a_negative_definite_hessian(self):
+        hessian = np.diag([-1.0, -2.0, -4.0])
+        gradient = np.array([1.0, 1.0, 1.0])
+        step = conic._ascent_direction(gradient, hessian)
+        assert np.abs(step - np.array([1.0, 0.5, 0.25])).max() <= 1e-15
+
+    @pytest.mark.parametrize("top", [0.0, 2.0], ids=["singular", "indefinite"])
+    def test_ascent_direction_is_the_gradient_where_the_hessian_is_not_negative_definite(
+            self, top):
+        gradient = np.array([0.3, -0.2, 0.1])
+        step = conic._ascent_direction(gradient, np.diag([-1.0, -3.0, top]))
+        assert step is gradient
+
+    def test_line_search_halves_a_full_step_that_overshoots(self):
+        tried = []
+
+        def move(t):
+            tried.append(t)
+            return 4.0 * t
+
+        # from x = 0 the full step lands at f(4) = -9, the half step at f(2) = -1,
+        # neither above f(0) = -1 by 1e-4 t slope; the quarter step reaches x = 1
+        x, point = conic._line_search(concave_quadratic, move, -1.0, 8.0)
+        assert tried == [1.0, 0.5, 0.25]
+        assert x == 1.0 and point == (0.0,)
+
+    def test_line_search_gives_up_on_a_step_that_never_gains(self):
+        tried = []
+
+        def move(t):
+            tried.append(t)
+            return t
+
+        assert conic._line_search(lambda x: (-1.0,), move, 0.0, 1.0) == (None, None)
+        # t = 1, 1/2, ..., 2^-33, the last above 1e-10
+        assert tried == [2.0 ** -k for k in range(34)]
+
+    @staticmethod
+    def assert_declines_to_the_interior_point(monkeypatch, name, **patches):
+        """With ``patches`` on conic, the dual route of DUAL_CASES[name] declines
+        (returns None) and sampling_overhead answers by the interior point with
+        the unpatched c1 + c2."""
+        marginal, target = DUAL_CASES[name]
+        expected = conic.sampling_overhead(marginal, target)
+        for attribute, value in patches.items():
+            monkeypatch.setattr(conic, attribute, value)
+        assert conic._dual_overhead(conic._RecoverySystem(marginal, target)) is None
+        result = conic.sampling_overhead(copied(marginal), copied(target))
+        assert result.status == conic.OPTIMAL
+        assert result.solution.debug["method"] == "interior_point"
+        assert result.c1 + result.c2 == pytest.approx(expected.c1 + expected.c2, abs=1e-9)
+
+    def test_a_failed_ball_line_search_declines(self, monkeypatch):
+        self.assert_declines_to_the_interior_point(
+            monkeypatch, "virtual-only #0 (ball)", _line_search=lambda *args: (None, None))
+
+    def test_a_failed_sphere_line_search_declines_the_sphere(self, monkeypatch):
+        search = conic._line_search
+
+        def failing_on_the_sphere(evaluate, move, value, slope):
+            # a sphere search starts from a unit vector, a ball search inside the ball
+            if abs(np.linalg.norm(move(0.0)) - 1.0) <= 1e-12:
+                return None, None
+            return search(evaluate, move, value, slope)
+
+        # the optimum lies on the sphere, which the ball steps never reach
+        self.assert_declines_to_the_interior_point(
+            monkeypatch, "hptp #0 (sphere)", _line_search=failing_on_the_sphere)
+
+    def test_a_vanishing_sphere_direction_declines_the_sphere(self, monkeypatch):
+        direction = conic._ascent_direction
+
+        def none_along_the_sphere(gradient, hessian):
+            # the sphere ascent steps in the two tangent coordinates, the ball in three
+            return np.zeros(2) if len(gradient) == 2 else direction(gradient, hessian)
+
+        self.assert_declines_to_the_interior_point(
+            monkeypatch, "hptp #0 (sphere)", _ascent_direction=none_along_the_sphere)
+
+    def test_a_vanishing_ball_direction_declines(self, monkeypatch):
+        self.assert_declines_to_the_interior_point(
+            monkeypatch, "virtual-only #0 (ball)",
+            _ascent_direction=lambda gradient, hessian: np.zeros_like(gradient))
+
+
 # ---------------------------------------------------------------------------
 # Block solve of the recovery system against the dense SVD of M rebuilt
 # through markov.apply_choi
@@ -1896,3 +1999,39 @@ class TestRecoveryPrimitives:
         system = conic._last_system
         assert system.target is target
         assert sum(v is system.ls_gap for v in measured) == 1
+
+
+def scaled_ghz4(scale):
+    """GHZ4 times ``scale`` as an unnormalized state, with its D-marginal."""
+    target = DensityOperator(register=QubitRegister(("A", "B", "C", "D")),
+                             matrix=scale * reg.make_state("GHZ4").matrix, normalized=False)
+    return reg.partial_trace(target, "D"), target
+
+
+RECOVERY_CALLS = {
+    "cptp_certify": conic.cptp_certify,
+    "sampling_overhead": conic.sampling_overhead,
+    "build_cptp_feasibility": conic.build_cptp_feasibility,
+    "build_overhead_problem": conic.build_overhead_problem,
+}
+
+
+class TestUnitTraceTarget:
+    @pytest.mark.parametrize("call", list(RECOVERY_CALLS))
+    def test_a_target_whose_trace_is_not_one_is_refused(self, call):
+        # the tolerances are absolute, so a verdict on these would depend on the scale
+        for scale in (1e-8, 1e-6, 1e3, 0.0):
+            marginal, target = scaled_ghz4(scale)
+            message = re.escape(f"target has trace {target.trace()!r}, not 1")
+            with pytest.raises(ValueError, match=message):
+                RECOVERY_CALLS[call](marginal, target)
+        # the trace decides, not the flag: a unit-trace target flagged unnormalized,
+        # as an HPTP-extended state is, gets the normalized state's answer
+        marginal, target = scaled_ghz4(1.0)
+        normalized = reg.make_state("GHZ4")
+        expected = RECOVERY_CALLS[call](reg.partial_trace(normalized, "D"), normalized)
+        answer = RECOVERY_CALLS[call](marginal, target)
+        if call == "cptp_certify":
+            assert answer[0].to_dict() == expected[0].to_dict()
+        elif call == "sampling_overhead":
+            assert answer.to_dict() == expected.to_dict()

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -487,6 +489,94 @@ class TestMarginalBlockConsistency:
         ).to_dict()
         assert payload["consistent"] is False
         assert payload["witnesses"]
+
+
+def traced_part(matrix, labels, drop):
+    """Tr_drop of a matrix on ``labels``, by one einsum: the test's own partial trace."""
+    m = len(labels)
+    kets = [chr(ord("a") + i) for i in range(m)]
+    bras = [ket if lab in drop else chr(ord("a") + m + i)
+            for i, (ket, lab) in enumerate(zip(kets, labels))]
+    kept = [i for i, lab in enumerate(labels) if lab not in drop]
+    spec = "".join(kets + bras) + "->" + "".join([kets[i] for i in kept] + [bras[i] for i in kept])
+    return np.einsum(spec, matrix.reshape((2,) * (2 * m))).reshape(2 ** len(kept), -1)
+
+
+def pairwise_witnesses(state, keep, extend_to, tol=markov.BLOCK_MATCH_TOL):
+    """The pairwise linearity test as a double loop over the blocks, a < b:
+    ``[(first, second, traced_gap, block_gap)]``."""
+    complement = [lab for lab in state.labels if lab != keep and lab not in extend_to]
+    blocks = markov.operator_blocks(state, complement)
+    traced = [traced_part(b.matrix, b.on_labels, extend_to) for b in blocks]
+    found = []
+    for a in range(len(blocks)):
+        for b in range(a + 1, len(blocks)):
+            traced_gap = np.abs(traced[a] - traced[b]).max()
+            block_gap = np.abs(blocks[a].matrix - blocks[b].matrix).max()
+            if traced_gap <= tol < block_gap:
+                found.append(((blocks[a].row, blocks[a].col), (blocks[b].row, blocks[b].col),
+                              traced_gap, block_gap))
+    return found
+
+
+def consistency_states():
+    rng = np.random.default_rng(35)
+    states = {name: reg.make_state(name) for name in ("W4", "GHZ4", "RHO2", "GHZ3")}
+    states["MIX(0.3)"] = reg.make_state("MIX", p=0.3)
+    states["W4 + GHZ4"] = reg.mix(reg.make_state("W4"), reg.make_state("GHZ4"), 0.5)
+    for n in (3, 4):
+        register = QubitRegister(tuple("ABCD"[:n]))
+        for rank in (1, 2 ** n):
+            states[f"seeded {n}-qubit rank {rank}"] = DensityOperator(
+                register=register, matrix=random_density(rng, 2 ** n, rank))
+    return states
+
+
+CONSISTENCY_STATES = consistency_states()
+
+
+def keep_and_extensions(labels):
+    """Every (keep, extend_to) that leaves a label to index the blocks."""
+    for keep in labels:
+        others = [lab for lab in labels if lab != keep]
+        for size in range(len(others)):
+            for extend_to in itertools.combinations(others, size):
+                yield keep, set(extend_to)
+
+
+class TestPairwiseBlockComparison:
+    @pytest.mark.parametrize("name", list(CONSISTENCY_STATES))
+    def test_witnesses_are_those_of_the_pairwise_loop(self, name):
+        state = CONSISTENCY_STATES[name]
+        for keep, extend_to in keep_and_extensions(state.labels):
+            report = markov.marginal_block_consistency(state, keep, extend_to)
+            expected = pairwise_witnesses(state, keep, extend_to)
+            assert [(w.first, w.second) for w in report.witnesses] == [e[:2] for e in expected]
+            for witness, (_, _, traced_gap, block_gap) in zip(report.witnesses, expected):
+                assert witness.traced_gap == pytest.approx(traced_gap, abs=1e-15)
+                assert witness.block_gap == pytest.approx(block_gap, abs=1e-15)
+            assert report.consistent == (not expected)
+            assert len(report.blocks) == len(report.traced)
+            for block, traced in zip(report.blocks, report.traced):
+                expected_part = traced_part(block.matrix, block.on_labels, extend_to)
+                assert np.abs(traced - expected_part).max() <= 1e-15
+
+    def test_w4_report_keeps_its_blocks_and_their_traces_out_of_its_contract(self):
+        w4 = reg.make_state("W4")
+        report = markov.marginal_block_consistency(w4, "B", {"C", "D"})
+        expected = markov.operator_blocks(w4, ["A"])
+        assert [(b.row, b.col, b.on_labels) for b in report.blocks] == [
+            (b.row, b.col, b.on_labels) for b in expected]
+        assert all(np.array_equal(b.matrix, e.matrix) for b, e in zip(report.blocks, expected))
+        # Tr_CD of M_00, M_01, M_10, M_11 on B: diag(1/2, 1/4), |1><0|/4, |0><1|/4, |0><0|/4
+        quarter = np.array([[[2, 0], [0, 1]], [[0, 0], [1, 0]], [[0, 1], [0, 0]],
+                            [[1, 0], [0, 0]]]) / 4
+        assert np.abs(report.traced - quarter).max() <= 1e-15
+        bare = markov.ConsistencyReport(consistent=True, witnesses=(), tol=report.tol)
+        assert report == bare
+        assert report.to_dict() == bare.to_dict() == {"consistent": True,
+                                                      "tol": report.tol, "witnesses": []}
+        assert "traced" not in repr(report)
 
 
 class TestValidationBranches:

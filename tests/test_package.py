@@ -1,6 +1,7 @@
 """The package's lazy exports: every public name resolves to its home module's object;
 the README's library example prints what it says, and every name it cites exists."""
 
+import ast
 import importlib
 import pathlib
 import re
@@ -75,3 +76,18 @@ def test_every_name_the_readme_cites_exists():
     words = {word for path in sources for word in re.findall(IDENTIFIER, path.read_text())}
     assert len(cited) >= 40
     assert sorted(cited - words) == []
+
+
+LIBRARY_MODULES = {"registers", "markov", "conic", "linops"}
+
+
+def test_the_cli_imports_no_private_library_name():
+    tree = ast.parse((ROOT / "src" / "vqmc" / "cli.py").read_text())
+    private = [
+        f"{node.module}.{alias.name} (line {node.lineno})"
+        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        and (node.module or "").removeprefix("vqmc.") in LIBRARY_MODULES
+        and (node.level == 1 or node.module.startswith("vqmc."))
+        for alias in node.names if alias.name.startswith("_")
+    ]
+    assert private == []

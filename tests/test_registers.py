@@ -116,6 +116,15 @@ class TestPartialTrace:
         assert np.array_equal(two_step.matrix, one_step.matrix)
         assert two_step.labels == one_step.labels == ("A", "B")
 
+    def test_traces_a_stack_of_raw_matrices_one_by_one(self, rng):
+        stack = rng.standard_normal((5, 16, 16)) + 1j * rng.standard_normal((5, 16, 16))
+        for axes in ([0], [3], [1, 2], [2, 0], [0, 1, 3]):
+            traced = reg._trace_out_axes(stack, 4, axes)
+            dim = 2 ** (4 - len(axes))
+            assert traced.shape == (5, dim, dim)
+            for matrix, part in zip(stack, traced):
+                assert np.array_equal(part, reg._trace_out_axes(matrix, 4, axes))
+
     def test_trace_preserved(self):
         assert reg.partial_trace(reg.make_state("W4"), {"B", "D"}).trace() == pytest.approx(1.0)
 
