@@ -30,6 +30,8 @@ if TYPE_CHECKING:
     from . import conic, markov, registers
 
 BUILTIN_NAMES = ("GHZ4", "W4", "MIX", "RHO2", "GHZ3", "CONVEX_MIX")
+# Most points of a start:stop:count grid; a larger count is refused before any is built.
+MAX_GRID_COUNT = 100_000
 
 EXIT_PASS = 0
 EXIT_ERROR = 1
@@ -199,6 +201,9 @@ def _parse_grid(text: str) -> list[float]:
         except ValueError:
             raise UsageError(f"grid {text!r}: the count must be an integer, "
                              f"got {parts[2]!r}") from None
+        if count > MAX_GRID_COUNT:
+            raise UsageError(f"grid {text!r}: the count must be at most {MAX_GRID_COUNT}, "
+                             f"got {count}")
         step = (stop - start) / (count - 1) if count > 1 else 0.0
         grid = [start + k * step for k in range(count)]
     else:

@@ -41,7 +41,8 @@ sphere, and certifies c1 + c2 from both sides
 with a null space that the Petz map does not recover, and unique
 extensions whose bounds do not meet, go to :func:`_reduced_overhead`,
 whose final dual point certifies a lower bound on c1 + c2
-(``debug == {"method": "interior_point", "lower_bound": ..., "gap": ...}``).
+(``debug == {"method": "interior_point", "lower_bound": ..., "gap": ...}``,
+and ``"dual_declined"`` for a unique extension: why the dual route gave up).
 No state of the benchmark corpora reaches it; only the tests do.
 
 One engine solves every SDP: :func:`_interior_point`, a dense primal-dual
@@ -187,7 +188,7 @@ class SolverConfig:
 
     ``eps_feasible < eps_infeasible`` is required: residuals between the two
     are reported as undetermined (MAX_ITER) rather than forced into a
-    verdict.
+    verdict. ``eps_psd`` is read only by the reference solver, ``_reference.solve``.
     """
 
     eps_feasible: float = 1e-7
@@ -715,11 +716,6 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1)
 
 
-def _bloch(r: np.ndarray) -> np.ndarray:
-    """r . sigma."""
-    return (r @ _PAULI.reshape(3, 4)).reshape(2, 2)
-
-
 def _weighted_gram(e: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Re sum_ij weights_ij e[k, i, j] conj(e[l, i, j]) for weights >= 0."""
     scaled = (e * np.sqrt(weights)).reshape(len(e), -1)
@@ -730,31 +726,53 @@ def _ball_point(choi: np.ndarray, r: np.ndarray):
     """The dual function at |r| < 1, with its gradient and Hessian in r.
 
     f = Tr[(W^1/2 J W^1/2)_-] for W = (I + r . sigma) (x) I. With V the
-    eigenvectors and w the eigenvalues of W^1/2 J W^1/2, M = W^-1/2 V has
-    M' W M = I and J = M diag(w) M', and a change dW turns w into the
-    eigenvalues of diag(w) (I + E), E = M' dW M. So f gains <dW, Lambda>
-    with Lambda = M diag(w_-) M' = W^-1/2 (W^1/2 J W^1/2)_- W^-1/2, and
-    loses sum over w_i < 0 <= w_j of |w_i| w_j / (|w_i| + w_j) |E_ij|^2.
+    eigenvectors and w the ascending eigenvalues of W^1/2 J W^1/2,
+    M = W^-1/2 V = (M_-, M_+) has M' W M = I and J = M diag(w) M', and a
+    change dW turns w into the eigenvalues of diag(w) (I + E), E = M' dW M.
+    So f gains <dW, Lambda>, Lambda = M_- |D_-| M_-', and loses mu' G mu for
+    dW = (mu . sigma) (x) I: G_kl = Re sum_ij omega_ij Y_k,ij conj(Y_l,ij),
+    Y_k = M_-' (sigma_k (x) I) M_+, omega_ij = |w_i| w_j / (|w_i| + w_j).
 
-    Returns ``(f, gradient, hessian, (Z1, Z2), Lambda)``: the dual point
-    Z2 = W^1/2 P_- W^1/2, Z1 = W - Z2 attains f, and the split Lambda has
-    Lambda >= 0, J + Lambda = W^-1/2 (W^1/2 J W^1/2)_+ W^-1/2 >= 0.
+    Returns ``(f, gradient, hessian, (Z1, Z2), Lambda, refine)``: the dual
+    point Z2 = W^1/2 P_- W^1/2, Z1 = W - Z2 attains f; Lambda and J + Lambda
+    are PSD. ``refine(mu)`` is the second-order split M (|D_-| + E) M': its
+    off-diagonal block X = sum_k mu_k omega . Y_k moves Tr_out by 2 G mu
+    along sigma, and the Schur-complement blocks X D_+^-1 X' and
+    X' |D_-|^-1 X keep it and J plus it PSD. The Newton multipliers
+    mu = -G^-1 gradient / 2 make it TP to first order at a price of
+    Tr W J2 - f = mu' G mu, the Newton decrement.
     """
     n = len(choi) // 2
-    w, u = np.linalg.eigh(np.eye(2) + _bloch(r))
-    root, inverse_root = (_kron((u * w ** p) @ u.conj().T, np.eye(n)) for p in (0.5, -0.5))
+    norm = math.sqrt(r @ r)
+    high, low = math.sqrt(1.0 + norm), math.sqrt(1.0 - norm)
+    # I + r . sigma has the eigenvalues 1 +- |r| along +-r: its root is a I + b . sigma with
+    # b = (high - low) r / 2|r|, and its inverse root a I - b . sigma over high low
+    a, (bx, by, bz) = (high + low) / 2, (r * ((high - low) / 2 / norm if norm else 0.0)).tolist()
+    halves = np.array([[[a + s * bz, s * complex(bx, -by)], [s * complex(bx, by), a - s * bz]]
+                       for s in (1.0, -1.0)]) / np.array([1.0, high * low])[:, None, None]
+    root, inverse_root = (halves[:, :, None, :, None] * np.eye(n)[:, None, :]).reshape(2, 2 * n, -1)
     w, v = np.linalg.eigh(root @ choi @ root)
-    neg = w < 0
+    k = int(np.searchsorted(w, 0.0))  # w[:k] < 0 <= w[k:]
+    neg, pos = w[:k], w[k:]
     m = inverse_root @ v
-    m_neg = m[:, neg]
-    split = (m_neg * -w[neg]) @ m_neg.conj().T
+    m_neg = m[:, :k]
+    split = (m_neg * -neg) @ m_neg.conj().T
     gradient = (_PAULI.reshape(3, 4) @ _output_trace(split).T.reshape(4)).real
-    moved = (_PAULI @ m[:, ~neg].reshape(2, -1)).reshape(3, 2 * n, -1)  # (sigma_k (x) I) M
-    weights = -w[neg][:, None] * w[~neg] / (w[~neg] - w[neg][:, None])
-    hessian = -2.0 * _weighted_gram(m_neg.conj().T @ moved, weights)
+    y = m_neg.conj().T @ (_PAULI @ m[:, k:].reshape(2, -1)).reshape(3, 2 * n, -1)
+    weights = -neg[:, None] * pos / (pos - neg[:, None])
+    hessian = -2.0 * _weighted_gram(y, weights)
     sides = root @ v
-    duals = tuple(sides[:, side] @ sides[:, side].conj().T for side in (~neg, neg))
-    return -float(w[neg].sum()), gradient, hessian, duals, split
+    duals = (sides[:, k:] @ sides[:, k:].conj().T, sides[:, :k] @ sides[:, :k].conj().T)
+
+    def refine(mu: np.ndarray) -> np.ndarray:
+        z = (mu @ y.reshape(3, -1)).reshape(k, -1)
+        x, share = weights * z, neg[:, None] / (neg[:, None] - pos)  # |w_i| / (|w_i| + w_j)
+        corner = np.empty((2 * n, 2 * n), complex)
+        corner[:k, :k], corner[:k, k:] = np.diag(-neg) + (share * z) @ x.conj().T, x
+        corner[k:, :k], corner[k:, k:] = x.conj().T, x.conj().T @ ((1.0 - share) * z)
+        return m @ corner @ m.conj().T
+
+    return -float(neg.sum()), gradient, hessian, duals, split, refine
 
 
 def _sphere_point(choi: np.ndarray, r: np.ndarray):
@@ -772,7 +790,7 @@ def _sphere_point(choi: np.ndarray, r: np.ndarray):
     Returns ``(f, gradient, hessian, (Z1, Z2), split)`` like :func:`_ball_point`.
     """
     n = len(choi) // 2
-    _, u = np.linalg.eigh(np.eye(2) + _bloch(r))
+    _, u = np.linalg.eigh(np.eye(2) + (r @ _PAULI.reshape(3, 4)).reshape(2, 2))
     frame = _kron(u[:, ::-1], np.eye(n))  # psi (x) I, then psi_perp (x) I
     blocks = (frame.conj().T @ choi @ frame).reshape(2, n, 2, n)
     own, cross, perp = blocks[0, :, 0], blocks[0, :, 1], blocks[1, :, 1]
@@ -830,16 +848,21 @@ def _dual_overhead(system: _RecoverySystem):
     is tried once by a Newton ascent over psi (:func:`_sphere_point`), and
     the ball steps go on at most ``_STEP_FRACTION`` of the way to the sphere.
 
-    Every point certifies both bounds: 1 - <Z2, J> from below, and from
-    above 1 + Tr J2, where J2 is the point's split made TP compatible,
-    J2 + (c I - Tr_out J2) (x) I / n with c = lambda_max(Tr_out J2), then
-    shifted by the multiple of I that makes J2 and J + J2 PSD by their
-    computed eigenvalues. OPTIMAL, with the best of each and
+    Every point certifies 1 - <Z2, J> from below. From above, a split J2
+    certifies 1 + Tr J2 once made TP by J2 + (c I - Tr_out J2) (x) I / n,
+    c = lambda_max(Tr_out J2), and shifted by the multiple of I that makes
+    J2 and J + J2 PSD by their computed eigenvalues. A sphere point always
+    builds it; a ball point only when its predicted gap is within
+    10 ``_GAP_TOL`` max(1, lower), from the Newton multipliers' second-order
+    split (gap mu' G mu) or else Lambda (gap |g| - r . g, which closes
+    optima near the sphere). OPTIMAL, with the best of each and
     ``debug == {"method": "dual", "lower_bound": ..., "gap": ...}``, once
     they meet within ``_GAP_TOL`` max(1, c1 + c2).
 
     Returns ``(solution, J, (Z1, Z2))`` like :func:`_reduced_overhead`, or
-    None when the bounds have not met after ``_DUAL_STEPS`` Newton steps.
+    why the bounds have not met: ``"out_of_steps"`` (``_DUAL_STEPS`` Newton
+    steps), ``"near_sphere"`` (too close to evaluate f), ``"kink"`` (the
+    gradient vanishes short of the optimum) or ``"line_search"``.
     """
     choi = system.choi_ls
     dim = len(choi)
@@ -847,25 +870,26 @@ def _dual_overhead(system: _RecoverySystem):
     best = {"lower": -math.inf, "upper": math.inf}
     steps = 0
 
-    def closed(point) -> bool:
-        duals, split = point[3:]
+    def closed(point, split) -> bool:
+        duals = point[3]
         lower = 1.0 - _inner(duals[1], choi)
         if lower > best["lower"]:
             best.update(lower=lower, duals=duals)
-        traced = _output_trace(split)
-        j2 = _hermitian_part(split + _kron(
-            np.linalg.eigvalsh(traced)[-1] * np.eye(2) - traced, np.eye(n) / n))
-        shift = max(0.0, -np.linalg.eigvalsh(j2)[0], -np.linalg.eigvalsh(choi + j2)[0])
-        j2 = j2 + shift * np.eye(dim)
-        upper = 1.0 + float(np.trace(j2).real)
-        if upper < best["upper"]:
-            best.update(upper=upper, j2=j2)
-        return best["upper"] - best["lower"] <= _GAP_TOL * max(1.0, best["upper"])
+        if split is not None:
+            (a, b), (_, d) = traced = _output_trace(split)
+            top = (a + d).real / 2 + math.hypot((a - d).real / 2, abs(b))
+            j2 = _hermitian_part(split + _kron(top * np.eye(2) - traced, np.eye(n) / n))
+            shift = max(0.0, -np.linalg.eigvalsh(j2)[0], -np.linalg.eigvalsh(choi + j2)[0])
+            j2 = j2 + shift * np.eye(dim)
+            upper = 1.0 + float(np.trace(j2).real)
+            if upper < best["upper"]:
+                best.update(upper=upper, j2=j2)
+        return "j2" in best and best["upper"] - best["lower"] <= _GAP_TOL * max(1.0, best["upper"])
 
     def sphere_ascent(r) -> bool:
         nonlocal steps
         point = _sphere_point(choi, r)
-        while not closed(point):
+        while not closed(point, point[4]):
             if steps >= _DUAL_STEPS:
                 return False
             gradient, hessian = point[1:3]
@@ -895,15 +919,23 @@ def _dual_overhead(system: _RecoverySystem):
     r = np.zeros(3)
     point = _ball_point(choi, r)
     sphere_tried = False
-    while not closed(point):
-        if steps >= _DUAL_STEPS or r @ r > 1.0 - 1e-12:
-            return None  # out of steps, or too close to the sphere to evaluate f
+    while True:
         gradient, hessian = point[1:3]
         step = _ascent_direction(gradient, hessian)
+        # a split whose predicted gap can close; only a Newton step is a new array
+        limit = 10.0 * _GAP_TOL * max(1.0, best["lower"], 1.0 + point[0])
+        if step is not gradient and float(gradient @ step) / 2 <= limit:
+            split = point[5](-step)
+        else:
+            split = point[4] if np.linalg.norm(gradient) - r @ gradient <= limit else None
+        if closed(point, split):
+            break
+        if steps >= _DUAL_STEPS or r @ r > 1.0 - 1e-12:
+            return "out_of_steps" if steps >= _DUAL_STEPS else "near_sphere"
         # the largest t with |r + t step| <= 1
         a, b, c = step @ step, r @ step, r @ r - 1.0
         if not a:
-            return None  # a kink: the gradient vanishes short of the optimum
+            return "kink"
         reach = (-b + math.sqrt(b * b - a * c)) / a
         if reach <= 1.0 and not sphere_tried:
             sphere_tried = True
@@ -917,7 +949,7 @@ def _dual_overhead(system: _RecoverySystem):
         r, point = _line_search(lambda q: _ball_point(choi, q), along, point[0],
                                 scale * float(gradient @ step))
         if point is None:
-            return None
+            return "line_search"
         steps += 1
 
     j2 = best["j2"]
@@ -1012,7 +1044,10 @@ def sampling_overhead(marginal: DensityOperator, target: DensityOperator,
         solution = _least_squares_solution(system, cfg.verdict(system.ls_residual))
     else:
         answer = None if system.nullity else _dual_overhead(system)
-        solution, choi_matrix, _ = answer or _reduced_overhead(system, cfg)
+        solution, choi_matrix, _ = (answer if isinstance(answer, tuple)
+                                    else _reduced_overhead(system, cfg))
+        if isinstance(answer, str):
+            solution.debug["dual_declined"] = answer
     if solution.status != OPTIMAL:
         return OverheadResult(status=solution.status, nu=math.inf, solution=solution)
 

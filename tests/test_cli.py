@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -367,6 +368,22 @@ class TestSweepCommand:
 
     def test_single_point_grid(self):
         assert cli._parse_grid("0.5:1:1") == [0.5]
+
+    def test_a_count_above_the_cap_is_refused_before_the_grid_is_built(self, capsys):
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "sweep", "--grid", "0:1:1000000000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1 and out == ""
+        assert err == ("error: grid '0:1:1000000000': the count must be at most "
+                       f"{cli.MAX_GRID_COUNT}, got 1000000000\n")
+        assert peak < 1_000_000  # bytes: a grid of a million points would take 32 MB
+        message = f"at most {cli.MAX_GRID_COUNT}, got {cli.MAX_GRID_COUNT + 1}"
+        with pytest.raises(cli.UsageError, match=message):
+            cli._parse_grid(f"0:1:{cli.MAX_GRID_COUNT + 1}")
+        assert len(cli._parse_grid(f"0:1:{cli.MAX_GRID_COUNT}")) == cli.MAX_GRID_COUNT
 
     def test_verbose_adds_the_deciding_routes(self, capsys):
         code, plain = run_json(capsys, "sweep", "--grid", "0,0.5,1")
