@@ -21,7 +21,7 @@ import numpy as np
 
 # solve looks conic._interior_point up at call time: one engine, patched
 # or not, serves the reference route and the reduced overhead alike
-from . import conic
+from . import conic, linops
 from .conic import (
     FEASIBLE,
     INFEASIBLE,
@@ -83,7 +83,7 @@ class ConicProblem:
                     )
                 if not np.isfinite(data).all():
                     raise ProblemFormatError(f"{where}: data for block {name!r} is non-finite")
-                if np.abs(data - data.conj().T).max() > 1e-12:
+                if np.abs(data - data.conj().T).max() > linops.HERMITIAN_ATOL:
                     raise ProblemFormatError(f"{where}: data for block {name!r} is not Hermitian")
             for name, coeff in scalars.items():
                 if name not in self.free_scalars:
@@ -106,7 +106,7 @@ def _affine_solutions(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndar
     except np.linalg.LinAlgError as err:
         raise ValueError(f"the SVD of the {A.shape[0]}x{A.shape[1]} equality matrix "
                          f"failed: {err}") from err
-    rank = int((s > s[0] * 1e-12).sum()) if s.size and s[0] > 0 else 0
+    rank = int((s > s[0] * linops.RANK_RTOL).sum()) if s.size and s[0] > 0 else 0
     return vt[:rank].T @ ((u[:, :rank].T @ b) / s[:rank]), vt[rank:].T
 
 

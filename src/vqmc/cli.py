@@ -248,7 +248,8 @@ def cmd_demo(args) -> int:
 
 
 def _demo_append_channel(args, config) -> int:
-    """A three-qubit GHZ extended by the channel that appends |0>."""
+    """A three-qubit GHZ extended by the channel that appends |0>; it passes
+    when the config's verdict on the factory's residual is FEASIBLE."""
     from . import conic, markov, registers
 
     ghz3 = registers.make_state("GHZ3")
@@ -269,7 +270,7 @@ def _demo_append_channel(args, config) -> int:
         results["choi_re"] = choi.matrix.real.tolist()
         results["choi_im"] = choi.matrix.imag.tolist()
     _print(_report("demo", {"name": args.name}, results, config.to_dict()), args)
-    return EXIT_PASS if residual <= 1e-12 else EXIT_FAIL
+    return EXIT_PASS if config.verdict(residual) == conic.FEASIBLE else EXIT_FAIL
 
 
 def _demo_two_qubit_recovery(args) -> int:

@@ -67,14 +67,15 @@ one of those names, so no recovery answer pays for loading it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from . import linops, markov
-from .registers import (TRACE_ATOL, ChoiOperator, DensityOperator, _acted_on, _output_trace,
-                        _permuted, partial_trace)
+from .registers import (ChoiOperator, DensityOperator, _acted_on, _output_trace, _permuted,
+                        partial_trace)
 
 OPTIMAL = "OPTIMAL"
 FEASIBLE = "FEASIBLE"
@@ -189,12 +190,23 @@ class SolverConfig:
     ``eps_feasible < eps_infeasible`` is required: residuals between the two
     are reported as undetermined (MAX_ITER) rather than forced into a
     verdict. ``eps_psd`` is read only by the reference solver, ``_reference.solve``.
+    The tolerances are absolute, on targets of unit trace, which is why the
+    recovery questions refuse a target of any other trace; the constant
+    numerical guards are listed in README's "Tolerances" table.
     """
 
     eps_feasible: float = 1e-7
+    """Largest residual that is FEASIBLE: the max-abs entry of b - M svec(J), or of
+    the target minus the map's output, absolute. The reference solver's phase 2
+    also reads it as the dual residual relative to max(1, max|cost|)."""
     eps_psd: float = 1e-9
+    """Largest phase-1 shift t (an eigenvalue margin: X_k + t I >= 0) that the
+    reference solver still calls FEASIBLE, absolute."""
     eps_infeasible: float = 1e-5
+    """Smallest residual, by ``eps_feasible``'s max-abs measure, above which the
+    answer is INFEASIBLE, absolute; residuals between the two are undetermined."""
     max_iterations: int = 50000
+    """Most Newton steps of the interior point, an integer of at least 1."""
 
     def __post_init__(self):
         tolerances = (self.eps_feasible, self.eps_psd, self.eps_infeasible)
@@ -202,6 +214,8 @@ class SolverConfig:
             raise ValueError(f"tolerances must be finite and positive, got {tolerances}")
         if self.eps_feasible >= self.eps_infeasible:
             raise ValueError("eps_feasible must be smaller than eps_infeasible")
+        if not isinstance(self.max_iterations, numbers.Integral):
+            raise ValueError(f"max_iterations must be an integer, got {self.max_iterations!r}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
 
@@ -361,6 +375,9 @@ def _interior_point(offsets, columns, cost, v, constant, config, limit=-math.inf
 # The recovery system of one (marginal, target) pair
 # ---------------------------------------------------------------------------
 
+# Largest max-abs entry of Tr_ext(target) - marginal for a pair to be one state.
+_MARGINAL_ATOL = 1e-10
+
 
 @lru_cache(maxsize=None)
 def _tp_compatible_basis(choi_dim: int) -> np.ndarray:
@@ -382,7 +399,7 @@ class _RecoverySystem:
     The pair fixes the layout: the map acts on ``act_on`` and creates the
     extension ``ext`` right after it (:func:`registers._acted_on`).
     Construction checks that the target has unit trace (within
-    ``registers.TRACE_ATOL``) and that Tr_ext of it is the marginal, and groups
+    ``linops.TRACE_ATOL``) and that Tr_ext of it is the marginal, and groups
     the marginal as (rest, C) and the target as (rest, C, ext), the order in
     which the map produces it, with C = ``act_on``.
     Computed on first use and kept: ``petz``, the Petz map's verified
@@ -412,15 +429,15 @@ class _RecoverySystem:
     the mean solve against R, the mean m against [R; sqrt(n) I], i.e.
     (R'R + n I) m = R' mean + vec(I). The singular values of M are thus
     those of R, each n^2 - 1 times, and sqrt(s^2 + n) of the mean, so ranks
-    are cut at 1e-12 times the largest of these, as a dense SVD of M cuts
-    them, and the null space of M is {N (x) H : R(N) = 0, N and H Hermitian,
-    H traceless}.
+    are cut at ``linops.RANK_RTOL`` times the largest of these, as a dense
+    SVD of M cuts them, and the null space of M is {N (x) H : R(N) = 0,
+    N and H Hermitian, H traceless}.
     """
 
     def __init__(self, marginal: DensityOperator, target: DensityOperator):
         act_on, ext = _acted_on(marginal.labels, target.labels)
         # the tolerances are absolute, so a verdict on a rescaled pair would depend on the scale
-        if abs(target.trace() - 1.0) > TRACE_ATOL:
+        if abs(target.trace() - 1.0) > linops.TRACE_ATOL:
             raise ValueError(f"target has trace {target.trace()!r}, not 1; the recovery "
                              "questions are asked of a normalized state")
         order = [lab for lab in marginal.labels if lab != act_on] + [act_on]
@@ -429,7 +446,7 @@ class _RecoverySystem:
         self._n = n = 2 ** (1 + len(ext))
         traced = self._target.reshape(marginal.dim, n // 2, marginal.dim, n // 2)
         gap = _maxabs(np.trace(traced, axis1=1, axis2=3) - grouped)
-        if gap > 1e-10:
+        if gap > _MARGINAL_ATOL:
             raise ValueError(
                 f"marginal is not the partial trace of the target over {ext} "
                 f"(max deviation {gap:.3e}); refusing to build a vacuously "
@@ -456,7 +473,7 @@ class _RecoverySystem:
     def _factored(self):
         """``(u, s, vt, rank)``: the SVD of the fit matrix R."""
         u, s, vt = np.linalg.svd(self._fit, full_matrices=len(self._fit) < 4)
-        rank = int((s > 1e-12 * math.sqrt(s[0] ** 2 + self._n)).sum())
+        rank = int((s > linops.RANK_RTOL * math.sqrt(s[0] ** 2 + self._n)).sum())
         return u, s, vt, rank
 
     @property
@@ -541,6 +558,12 @@ class _RecoverySystem:
         return _maxabs(self.gap(choi))
 
 
+# Rounding OverheadResult forgives: below zero in c1 and c2, off 1 in c1 - c2, below zero in nu.
+_WEIGHT_ALLOWANCE = 1e-9
+_TP_ALLOWANCE = 1e-7
+_NU_ALLOWANCE = 1e-9
+
+
 @dataclass(frozen=True)
 class OverheadResult:
     """Outcome of the sampling-overhead minimization.
@@ -549,7 +572,9 @@ class OverheadResult:
     Hermitian-preserving recovery exists at all. The Choi difference J1 - J2
     carries the recovered quasiprobability map, and
     ``certificate_residual`` re-verifies it through the independent channel
-    application path.
+    application path. ``nu`` is +inf or a finite number no lower than
+    rounding allows, and a finite one comes with c1, c2 >= 0 and
+    c1 - c2 = 1 within rounding; every check fails on NaN.
     """
 
     status: str
@@ -561,17 +586,16 @@ class OverheadResult:
     solution: ConicSolution | None = None
 
     def __post_init__(self):
-        if math.isfinite(self.nu):
-            if self.c1 is None or self.c2 is None:
-                raise ValueError("finite overhead requires c1 and c2")
-            if self.c1 < -1e-9 or self.c2 < -1e-9:
-                raise ValueError(f"channel weights must be nonnegative: c1={self.c1}, c2={self.c2}")
-            if abs(self.c1 - self.c2 - 1.0) > 1e-7:
-                raise ValueError(
-                    f"trace preservation forces c1 - c2 = 1, got {self.c1 - self.c2}"
-                )
-            if self.nu < -1e-9:
-                raise ValueError(f"overhead cannot be negative, got nu={self.nu}")
+        if self.nu == math.inf:
+            return
+        if not self.nu >= -_NU_ALLOWANCE:
+            raise ValueError(f"overhead cannot be negative or NaN, got nu={self.nu}")
+        if self.c1 is None or self.c2 is None:
+            raise ValueError("finite overhead requires c1 and c2")
+        if not (self.c1 >= -_WEIGHT_ALLOWANCE and self.c2 >= -_WEIGHT_ALLOWANCE):
+            raise ValueError(f"channel weights must be nonnegative: c1={self.c1}, c2={self.c2}")
+        if not abs(self.c1 - self.c2 - 1.0) <= _TP_ALLOWANCE:
+            raise ValueError(f"trace preservation forces c1 - c2 = 1, got {self.c1 - self.c2}")
 
     def to_dict(self) -> dict:
         return {
@@ -630,11 +654,14 @@ def _solution(status: str, objective: float | None, blocks: dict, scalars: dict,
 def _split_solution(system: _RecoverySystem, status: str, j1: np.ndarray, j2: np.ndarray,
                     method: str, lower_bound: float, iterations: int) -> ConicSolution:
     """The ConicSolution of a split J1 - J2 with c2 = Tr J2 / 2, c1 = 1 + c2,
-    objective c1 + c2 and the dual ``lower_bound`` it is certified against."""
+    objective c1 + c2 and the dual ``lower_bound`` it is certified against.
+    By weak duality only rounding can lift the bound above c1 + c2: a bound
+    within ``_ROUNDING`` max(1, c1 + c2) above it is clamped to it, and one
+    further above is reported as it is, so that ``gap`` shows negative."""
     c2 = float(np.trace(j2).real) / 2
     c1 = 1.0 + c2
-    # by weak duality only rounding can lift the bound above c1 + c2
-    lower_bound = min(lower_bound, c1 + c2)
+    if lower_bound - (c1 + c2) <= _ROUNDING * max(1.0, c1 + c2):
+        lower_bound = min(lower_bound, c1 + c2)
     return _solution(
         status, c1 + c2, {"J1": j1, "J2": j2}, {"c1": c1, "c2": c2},
         system.residual(j1 - j2),
@@ -709,6 +736,14 @@ _PAULI.setflags(write=False)
 _DUAL_STEPS = 40
 # Loss of f, relative to max(1, f), that a line search forgives as rounding.
 _ROUNDING = 1e-14
+# Fraction of the slope t g.d that a line-search step must gain (Armijo's condition).
+_ARMIJO = 1e-4
+# Shortest step t of a line search; shorter steps cannot matter.
+_SHORTEST_STEP = 1e-10
+# How far inside the sphere, in 1 - |r|^2, the ball can still evaluate f.
+_SPHERE_MARGIN = 1e-12
+# A ball point builds an upper bound when its predicted gap is within this many _GAP_TOL.
+_PREDICTED_GAP_FACTOR = 10.0
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -825,13 +860,13 @@ def _ascent_direction(gradient: np.ndarray, hessian: np.ndarray) -> np.ndarray:
 
 def _line_search(evaluate, move, value: float, slope: float):
     """Backtracking from the full step: the first t = 1, 1/2, ... whose point
-    gains 1e-4 t slope over ``value``, up to rounding. Returns ``(r, point)``,
-    or ``(None, None)`` when the step is too short to matter."""
+    gains ``_ARMIJO`` t slope over ``value``, up to rounding. Returns
+    ``(r, point)``, or ``(None, None)`` once t is at most ``_SHORTEST_STEP``."""
     t = 1.0
-    while t > 1e-10:
+    while t > _SHORTEST_STEP:
         r = move(t)
         point = evaluate(r)
-        if point[0] >= value + 1e-4 * t * slope - _ROUNDING * max(1.0, value):
+        if point[0] >= value + _ARMIJO * t * slope - _ROUNDING * max(1.0, value):
             return r, point
         t /= 2
     return None, None
@@ -853,9 +888,9 @@ def _dual_overhead(system: _RecoverySystem):
     c = lambda_max(Tr_out J2), and shifted by the multiple of I that makes
     J2 and J + J2 PSD by their computed eigenvalues. A sphere point always
     builds it; a ball point only when its predicted gap is within
-    10 ``_GAP_TOL`` max(1, lower), from the Newton multipliers' second-order
-    split (gap mu' G mu) or else Lambda (gap |g| - r . g, which closes
-    optima near the sphere). OPTIMAL, with the best of each and
+    ``_PREDICTED_GAP_FACTOR`` ``_GAP_TOL`` max(1, lower), from the Newton
+    multipliers' second-order split (gap mu' G mu) or else Lambda
+    (gap |g| - r . g, which closes optima near the sphere). OPTIMAL, with the best of each and
     ``debug == {"method": "dual", "lower_bound": ..., "gap": ...}``, once
     they meet within ``_GAP_TOL`` max(1, c1 + c2).
 
@@ -923,14 +958,14 @@ def _dual_overhead(system: _RecoverySystem):
         gradient, hessian = point[1:3]
         step = _ascent_direction(gradient, hessian)
         # a split whose predicted gap can close; only a Newton step is a new array
-        limit = 10.0 * _GAP_TOL * max(1.0, best["lower"], 1.0 + point[0])
+        limit = _PREDICTED_GAP_FACTOR * _GAP_TOL * max(1.0, best["lower"], 1.0 + point[0])
         if step is not gradient and float(gradient @ step) / 2 <= limit:
             split = point[5](-step)
         else:
             split = point[4] if np.linalg.norm(gradient) - r @ gradient <= limit else None
         if closed(point, split):
             break
-        if steps >= _DUAL_STEPS or r @ r > 1.0 - 1e-12:
+        if steps >= _DUAL_STEPS or r @ r > 1.0 - _SPHERE_MARGIN:
             return "out_of_steps" if steps >= _DUAL_STEPS else "near_sphere"
         # the largest t with |r + t step| <= 1
         a, b, c = step @ step, r @ step, r @ r - 1.0

@@ -13,14 +13,27 @@ has spectral gaps of order 1/4 or larger, so any threshold in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+# Thresholds shared by several modules live here; README's "Tolerances" table lists all.
+# Largest max-abs entry of H - H' that symmetrizing may absorb.
 HERMITIAN_ATOL = 1e-12
+# Lowest eigenvalue a PSD matrix may show from rounding before it is refused.
 PSD_EIG_FLOOR = -1e-8
+# Largest max-abs entry of V'V - I for an orthonormal frame.
 ORTHONORMAL_ATOL = 1e-10
+# Kernel eigenvalue cut-off relative to lambda_max: spectral gaps here are ~1/4.
 DEFAULT_REL_TOL = 1e-10
+# Singular-value rank cut relative to the largest, as a dense SVD's rank cuts it.
+RANK_RTOL = 1e-12
+# Largest |Tr rho - 1| of a normalized state; the recovery questions refuse other traces.
+TRACE_ATOL = 1e-10
+# Largest leak |(I - P_outer) a| of an inner frame column that still counts as contained.
+INCLUSION_LEAK_TOL = 1e-8
+# Floor under lambda_max in the relative kernel cut, so a zero matrix has a cut.
 _TINY = 1e-300
 
 
@@ -38,6 +51,12 @@ class NotPositiveSemidefiniteError(ValueError):
 
 class SubspaceMismatchError(ValueError):
     """Raised when two subspaces live in different ambient dimensions."""
+
+
+def _check_tolerance(name: str, value: float) -> None:
+    """Raise ``ValueError`` unless the tolerance argument ``name`` is finite and nonnegative."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and nonnegative, got {value}")
 
 
 def hermitian_part(matrix: np.ndarray) -> np.ndarray:
@@ -115,7 +134,7 @@ class SubspaceBasis:
         if cols.shape[1] == 0:
             return cls(vectors=cols, tol=tol)
         q, r = np.linalg.qr(cols)
-        keep = np.abs(np.diag(r)) > 1e-12 * max(1.0, float(np.abs(r).max()))
+        keep = np.abs(np.diag(r)) > RANK_RTOL * max(1.0, float(np.abs(r).max()))
         return cls(vectors=q[:, keep], tol=tol)
 
 
@@ -157,6 +176,7 @@ def kernel_basis(matrix: np.ndarray, rel_tol: float = DEFAULT_REL_TOL) -> Subspa
     assigned to the kernel. Raises ``NotPositiveSemidefiniteError`` if the
     smallest eigenvalue is below ``PSD_EIG_FLOOR``.
     """
+    _check_tolerance("rel_tol", rel_tol)
     w, v, threshold = _eigen_split(hermitian_part(matrix), rel_tol)
     return SubspaceBasis(vectors=v[:, w <= threshold], tol=float(threshold))
 
@@ -169,6 +189,7 @@ def kernel_frames(stack: np.ndarray, rel_tol: float = DEFAULT_REL_TOL) -> list[n
     :func:`kernel_basis` would give, checked as :class:`SubspaceBasis`
     checks them.
     """
+    _check_tolerance("rel_tol", rel_tol)
     w, v, threshold = _eigen_split(_hermitian_stack(np.asarray(stack, dtype=complex)), rel_tol)
     kernel = w <= threshold[:, None]
     _check_orthonormal(v, kernel)
@@ -200,12 +221,13 @@ def support_basis(matrix: np.ndarray, rel_tol: float = DEFAULT_REL_TOL) -> Subsp
     The support is the orthogonal complement of the kernel; together the two
     frames resolve the identity.
     """
+    _check_tolerance("rel_tol", rel_tol)
     w, v, threshold = _eigen_split(hermitian_part(matrix), rel_tol)
     return SubspaceBasis(vectors=v[:, w > threshold], tol=float(threshold))
 
 
 def subspace_contained(
-    inner: SubspaceBasis, outer: SubspaceBasis, tol: float = 1e-8
+    inner: SubspaceBasis, outer: SubspaceBasis, tol: float = INCLUSION_LEAK_TOL
 ) -> tuple[bool, float]:
     """Decide span(inner) <= span(outer) up to leak tolerance.
 
@@ -213,6 +235,7 @@ def subspace_contained(
     of ``(I - P_outer) a`` over columns ``a`` of ``inner``. An empty inner
     basis is trivially contained with zero leak.
     """
+    _check_tolerance("tol", tol)
     if inner.ambient_dim != outer.ambient_dim:
         raise SubspaceMismatchError(
             f"ambient dimensions differ: {inner.ambient_dim} vs {outer.ambient_dim}"

@@ -17,16 +17,16 @@ and the kernels follow :func:`linops.kernel_basis`'s rule.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import linops
+from .linops import INCLUSION_LEAK_TOL, _check_tolerance
 from .registers import (ChoiOperator, DensityOperator, LabelError, QubitRegister,
                         _acted_on, _extended_labels, _permuted, _trace_out_axes)
 
-INCLUSION_LEAK_TOL = 1e-8
+# Largest max-abs entry gap at which two traced blocks count as equal.
 BLOCK_MATCH_TOL = 1e-10
 
 
@@ -232,10 +232,8 @@ def kernel_inclusion_check(
     first in the order first-side 0, second-side 0, first-side 1,
     second-side 1.
     """
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
-    if not (math.isfinite(rel_tol) and rel_tol >= 0):
-        raise ValueError(f"rel_tol must be finite and nonnegative, got {rel_tol}")
+    _check_tolerance("tol", tol)
+    _check_tolerance("rel_tol", rel_tol)
     if rho.register.n_qubits != 3:
         raise LabelError(
             f"kernel inclusion needs a state on exactly three labels, got {rho.labels}"
@@ -363,8 +361,10 @@ def marginal_block_consistency(
     Expands the state in blocks over the complement of keep+extend_to,
     traces each block down to ``keep``, and flags any two blocks whose
     traced parts agree while the full blocks differ. Such a pair rules out
-    every linear extension map from keep to keep+extend_to.
+    every linear extension map from keep to keep+extend_to. ``tol`` must be
+    finite and nonnegative.
     """
+    _check_tolerance("tol", tol)
     extend_to = {extend_to} if isinstance(extend_to, str) else set(extend_to)
     if keep in extend_to:
         raise LabelError(f"keep label {keep!r} cannot be part of extend_to")

@@ -22,13 +22,15 @@ import numpy as np
 
 from . import _json
 from .linops import (
+    TRACE_ATOL,
     NotPositiveSemidefiniteError,
     _readonly,
     hermitian_part,
 )
 
+# Lowest eigenvalue a state or a CP Choi matrix may show from rounding.
 PSD_FLOOR = -1e-10
-TRACE_ATOL = 1e-10
+# Largest max-abs entry of Tr_out J - c I for a Choi matrix to be trace-scaling.
 CHOI_TRACE_ATOL = 1e-9
 
 STATE_NAMES = ("GHZ4", "W4", "MIX", "RHO2", "GHZ3")

@@ -114,6 +114,15 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="max_iterations must be at least 1"):
             SolverConfig(max_iterations=count)
 
+    @pytest.mark.parametrize("count", [math.nan, math.inf, 1.5, 2.0])
+    def test_config_needs_an_integer_iteration_cap(self, count):
+        # iterations >= nan never holds: a NaN cap would switch the cap off
+        with pytest.raises(ValueError, match="max_iterations must be an integer"):
+            SolverConfig(max_iterations=count)
+
+    def test_config_takes_a_numpy_integer_cap(self):
+        assert SolverConfig(max_iterations=np.int64(3)).max_iterations == 3
+
     @pytest.mark.parametrize("field", ["eps_feasible", "eps_psd", "eps_infeasible"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0])
     def test_config_needs_finite_positive_tolerances(self, field, value):
@@ -468,10 +477,21 @@ class TestSamplingOverhead:
         ({"nu": 1.0, "c1": 1.0, "c2": -1.0}, "channel weights must be nonnegative"),
         ({"nu": 1.0, "c1": 2.0, "c2": 0.5}, "trace preservation forces c1 - c2 = 1"),
         ({"nu": -1.0, "c1": 1.0, "c2": 0.0}, "overhead cannot be negative"),
+        # every check must fail on NaN, and nu is +inf or finite
+        ({"nu": math.nan, "c1": 1.0, "c2": 0.0}, "overhead cannot be negative or NaN"),
+        ({"nu": -math.inf}, "overhead cannot be negative or NaN"),
+        ({"nu": 1.0, "c1": math.nan, "c2": math.nan}, "channel weights must be nonnegative"),
+        ({"nu": 1.0, "c1": math.nan, "c2": 1.0}, "channel weights must be nonnegative"),
+        ({"nu": 1.0, "c1": math.inf, "c2": 1.0}, "trace preservation forces c1 - c2 = 1"),
     ])
     def test_result_rejects_an_inconsistent_overhead(self, fields, message):
         with pytest.raises(ValueError, match=message):
             conic.OverheadResult(status=conic.OPTIMAL, **fields)
+
+    def test_result_takes_the_allowances_and_an_infinite_overhead(self):
+        conic.OverheadResult(status=conic.INFEASIBLE, nu=math.inf)
+        conic.OverheadResult(status=conic.OPTIMAL, nu=-conic._NU_ALLOWANCE,
+                             c1=1.0 - conic._WEIGHT_ALLOWANCE, c2=-conic._WEIGHT_ALLOWANCE)
 
 
 class TestSweep:
@@ -1239,6 +1259,24 @@ class TestDualRoute:
         # each route's certified lower bound holds for the other's value
         assert dual.debug["lower_bound"] <= interior.objective_value
         assert interior.debug["lower_bound"] <= dual.objective_value
+
+    @pytest.mark.parametrize("relative, clamped", [(1e-12, False), (1e-15, True)])
+    def test_only_a_crossing_within_rounding_is_clamped(self, relative, clamped):
+        # weak duality keeps the bound at or below c1 + c2, so a bound above it
+        # by more than _ROUNDING max(1, c1 + c2) is a fault that the gap must show
+        marginal, target = DUAL_CASES["W4 (sphere)"]
+        system, solution, _, _ = dual_solve(marginal, target)
+        total = solution.objective_value
+        lower = total * (1.0 + relative)
+        assert lower > total
+        split = conic._split_solution(system, conic.OPTIMAL, solution.block_values["J1"],
+                                      solution.block_values["J2"], "dual", lower, 0)
+        assert split.objective_value == total
+        if clamped:
+            assert split.debug == {"method": "dual", "lower_bound": total, "gap": 0.0}
+        else:
+            assert split.debug == {"method": "dual", "lower_bound": lower, "gap": total - lower}
+            assert split.debug["gap"] < 0
 
     def test_two_qubit_extension(self):
         # (id (x) R)(sigma) with R(X) = X (x) tau_DE + 0.02 L(X) (x) Z_D (x) I_E

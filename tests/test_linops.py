@@ -1,7 +1,9 @@
+import inspect
+
 import numpy as np
 import pytest
 
-from vqmc import linops
+from vqmc import linops, markov
 from vqmc.registers import ket, projector
 
 from conftest import random_hermitian, random_psd
@@ -253,3 +255,39 @@ class TestHermitianPart:
         assert np.array_equal(linops.hermitian_part(step), (step + step.T) / 2)
         with pytest.raises(linops.NonHermitianError, match="> 1.0e-12"):
             linops.hermitian_part(2 * step)
+
+
+BAD_TOLERANCES = [float("nan"), float("inf"), float("-inf"), -1.0]
+
+
+class TestToleranceArguments:
+    """Each public tolerance argument is checked by one rule, linops._check_tolerance."""
+
+    @pytest.mark.parametrize("value", BAD_TOLERANCES)
+    @pytest.mark.parametrize("call", [
+        linops.kernel_basis,
+        linops.support_basis,
+        linops.rank_of,
+        lambda matrix, rel_tol: linops.kernel_frames(matrix[None], rel_tol=rel_tol),
+    ], ids=["kernel_basis", "support_basis", "rank_of", "kernel_frames"])
+    def test_rel_tol_must_be_finite_and_nonnegative(self, call, value):
+        # a negative or NaN cut-off would empty every kernel, an infinite one fill it
+        with pytest.raises(ValueError, match="rel_tol must be finite and nonnegative"):
+            call(np.eye(2), rel_tol=value)
+
+    @pytest.mark.parametrize("value", BAD_TOLERANCES)
+    def test_containment_tol_must_be_finite_and_nonnegative(self, value):
+        basis = linops.SubspaceBasis(np.eye(2))
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+            linops.subspace_contained(basis, basis, tol=value)
+
+    def test_zero_is_a_tolerance(self):
+        assert linops.kernel_basis(np.diag([0.0, 1.0]), rel_tol=0.0).dim == 1
+        basis = linops.SubspaceBasis(np.eye(2))
+        assert linops.subspace_contained(basis, basis, tol=0.0) == (True, 0.0)
+
+    def test_the_leak_tolerance_is_one_name(self):
+        assert markov.INCLUSION_LEAK_TOL is linops.INCLUSION_LEAK_TOL
+        for call in (linops.subspace_contained, markov.kernel_inclusion_check):
+            default = inspect.signature(call).parameters["tol"].default
+            assert default is linops.INCLUSION_LEAK_TOL

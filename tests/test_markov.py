@@ -607,6 +607,12 @@ class TestValidationBranches:
         with pytest.raises(LabelError, match="no subsystem left to index the blocks"):
             markov.marginal_block_consistency(reg.make_state("W4"), "A", {"B", "C", "D"})
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf"), -1.0])
+    def test_consistency_tol_must_be_finite_and_nonnegative(self, tol):
+        # a NaN or negative tol matches no pair, so the report would read consistent
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+            markov.marginal_block_consistency(reg.make_state("W4"), "B", {"C", "D"}, tol=tol)
+
 
 class TestVerifyRecovery:
     def test_exact_cases(self, w4_marginal):
